@@ -124,6 +124,8 @@ def _write_plots(results, baseline_by_metric, out_dir: Path) -> list[Path]:
 
 
 def cmd_run_matrix(args) -> int:
+    if args.jobs < 0:
+        raise UserError(f"--jobs must be 0 (available parallelism) or more, not {args.jobs}")
     features = read_features_csv(args.features)
     if not Path(args.barnstars).is_file():
         raise UserError(f"barnstars file not found: {args.barnstars}")
@@ -216,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--models", default=None, help="comma-separated model ids")
     p.add_argument("--dataset", default="dataset")
-    p.add_argument("--jobs", type=int, default=0, help="0 = available parallelism")
+    p.add_argument("--jobs", type=int, default=0,
+                   help="editor shards run in parallel; 0 = available parallelism")
     p.add_argument("--plots", action="store_true")
     p.add_argument("--plot-dir", default=None)
     p.set_defaults(func=cmd_run_matrix)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import argumentation, expert, fuzzy
 from .ingest import EditorFeatures
-from .kb.model import KnowledgeBase, contradiction_graph
+from .kb.model import ContradictionGraph, KnowledgeBase, contradiction_graph
 
 log = logging.getLogger(__name__)
 
@@ -171,12 +171,17 @@ def run_model(
     kb: KnowledgeBase,
     features: Sequence[EditorFeatures],
     af: argumentation.ArgumentationFramework | None = None,
+    graph: ContradictionGraph | None = None,
 ) -> dict[str, float | None]:
     """Per-editor trust values of one model; an engine failure for an editor
-    degrades to NA for that editor and the run continues."""
-    graph = contradiction_graph(kb)
-    if config.engine == "argumentation" and af is None:
-        af = argumentation.build_af(kb)
+    degrades to NA for that editor and the run continues.  ``af`` and
+    ``graph`` are ``kb``'s framework and contradiction graph, built here when
+    not given."""
+    if config.engine == "argumentation":
+        if af is None:
+            af = argumentation.build_af(kb)
+    elif graph is None:
+        graph = contradiction_graph(kb)
     trust: dict[str, float | None] = {}
     for f in features:
         vec = f.as_dict()
@@ -200,9 +205,25 @@ def run_model(
     return trust
 
 
-def _matrix_task(args) -> tuple[str, dict[str, float | None]]:
-    config, kb, features = args
-    return config.id, run_model(config, kb, features)
+def _run_shard(args) -> dict[str, dict[str, float | None]]:
+    """Every selected model over one contiguous chunk of editors.  Each KB's
+    argumentation framework and contradiction graph are built once here and
+    shared by all models over that KB."""
+    selected, kb_set, features = args
+    afs: dict[str, argumentation.ArgumentationFramework] = {}
+    graphs: dict[str, ContradictionGraph] = {}
+    for config in selected:
+        kb_id = config.kb_id
+        if config.engine == "argumentation":
+            if kb_id not in afs:
+                afs[kb_id] = argumentation.build_af(kb_set[kb_id])
+        elif kb_id not in graphs:
+            graphs[kb_id] = contradiction_graph(kb_set[kb_id])
+    return {
+        config.id: run_model(config, kb_set[config.kb_id], features,
+                             afs.get(config.kb_id), graphs.get(config.kb_id))
+        for config in selected
+    }
 
 
 def run_matrix(
@@ -214,7 +235,9 @@ def run_matrix(
 ) -> list[tuple[ModelConfig, MetricTriple]]:
     """Run the selected models over all editors and compute their metrics.
 
-    Output order follows the registry regardless of ``jobs``.
+    ``jobs > 1`` splits the editors into that many contiguous shards (at most
+    one per editor), each run by a worker process over every selected model.
+    The output, including its registry order, does not depend on ``jobs``.
     """
     if model_filter is None:
         selected = list(MODEL_REGISTRY.values())
@@ -224,12 +247,21 @@ def run_matrix(
         if unknown:
             raise KeyError(f"unknown model id(s): {', '.join(unknown)}")
         selected = [MODEL_REGISTRY[m] for m in MODEL_REGISTRY if m in set(wanted)]
-    tasks = [(config, kb_set[config.kb_id], features) for config in selected]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trust_by_model = dict(pool.map(_matrix_task, tasks))
+    kbs = {config.kb_id: kb_set[config.kb_id] for config in selected}
+    n = len(features)
+    shards = min(jobs, n)
+    if shards > 1 and selected:
+        chunks = [features[i * n // shards:(i + 1) * n // shards] for i in range(shards)]
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            parts = list(pool.map(_run_shard, [(selected, kbs, c) for c in chunks]))
+        # merging in chunk order keeps every trust dict in input editor
+        # order, the order in which spread() sums
+        trust_by_model = {config.id: {} for config in selected}
+        for part in parts:
+            for mid, trust in part.items():
+                trust_by_model[mid].update(trust)
     else:
-        trust_by_model = dict(map(_matrix_task, tasks))
+        trust_by_model = _run_shard((selected, kbs, features))
     return [
         (config, metric_triple(trust_by_model[config.id], barnstars))
         for config in selected

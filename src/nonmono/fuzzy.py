@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from typing import Callable
 
 from .kb.model import (
     MAX_FEATURE_WEIGHT,
     ContradictionGraph,
     Dnf,
+    Fmf,
     KnowledgeBase,
     RuleRef,
     contradiction_graph,
@@ -148,6 +151,18 @@ def apply_rule_weights(necessities: dict[str, float], kb: KnowledgeBase) -> dict
     }
 
 
+@lru_cache(maxsize=8)
+def _grid(resolution: int) -> tuple[float, ...]:
+    return tuple(i / (resolution - 1) for i in range(resolution))
+
+
+@lru_cache(maxsize=128)
+def _level_curve(fmf: Fmf, resolution: int) -> tuple[float, ...]:
+    """Membership of every grid point in one level function.  Keyed by the
+    function's value, so equal functions of different KBs share a curve."""
+    return tuple(map(fmf, _grid(resolution)))
+
+
 def aggregate_levels(
     necessities: dict[str, float],
     kb: KnowledgeBase,
@@ -160,12 +175,15 @@ def aggregate_levels(
     for label, nec in necessities.items():
         level = kb.rules[label].consequent_level
         truths[level] = max(truths[level], nec)
-    xs = tuple(i / (resolution - 1) for i in range(resolution))
-    fmfs = {level: tl.fmf(variant) for level, tl in kb.trust_levels.items()}
-    mu = tuple(
-        max((min(truths[level], fmfs[level](x)) for level in truths), default=0.0)
-        for x in xs
-    )
+    xs = _grid(resolution)
+    clipped = [
+        map(min, repeat(truths[level]), _level_curve(tl.fmf(variant), resolution))
+        for level, tl in kb.trust_levels.items()
+    ]
+    if len(clipped) == 1:  # max() of one argument would iterate it
+        mu = tuple(clipped[0])
+    else:
+        mu = tuple(map(max, *clipped))
     return AggregatedFuzzySet(level_truths=truths, xs=xs, mu=mu)
 
 

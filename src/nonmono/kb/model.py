@@ -308,23 +308,27 @@ def contradiction_graph(kb: KnowledgeBase) -> ContradictionGraph:
     comps: dict[int, list[str]] = {}
     for n, c in comp_of.items():
         comps.setdefault(c, []).append(n)
-    # longest-path depth of each component in the condensation
+    # longest-path depth of each component in the condensation, by Kahn's
+    # order: a component's depth is final once all its predecessors are done
     comp_succ = {
         c: {comp_of[t] for n in members for t in edges[n] if comp_of[t] != c}
         for c, members in comps.items()
     }
-    depth: dict[int, int] = {}
-
-    def comp_depth(c: int) -> int:
-        if c not in depth:
-            preds = [d for d in comps if c in comp_succ[d]]
-            depth[c] = 1 + max((comp_depth(p) for p in preds), default=-1)
-        return depth[c]
-
-    for c in comps:
-        comp_depth(c)
-    n_layers = 1 + max(depth.values(), default=0)
-    layers = [sorted(n for n in nodes if depth[comp_of[n]] == i) for i in range(n_layers)]
+    indegree = dict.fromkeys(comps, 0)
+    for succs in comp_succ.values():
+        for s in succs:
+            indegree[s] += 1
+    depth = dict.fromkeys(comps, 0)
+    ready = [c for c in comps if indegree[c] == 0]
+    for c in ready:
+        for s in comp_succ[c]:
+            depth[s] = max(depth[s], depth[c] + 1)
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                ready.append(s)
+    layers: list[list[str]] = [[] for _ in range(1 + max(depth.values(), default=0))]
+    for n in nodes:
+        layers[depth[comp_of[n]]].append(n)
     cyclic = sorted(
         (frozenset(m) for m in comps.values() if len(m) > 1),
         key=lambda s: sorted(s),

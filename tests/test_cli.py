@@ -136,6 +136,15 @@ def test_run_matrix_jobs_independent(features_csv, barnstars_path, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_run_matrix_negative_jobs_rejected(features_csv, barnstars_path, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["run-matrix", "--features", str(features_csv),
+               "--barnstars", str(barnstars_path), "--out", str(out), "--jobs", "-3"])
+    assert rc == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kb_validate_builtin_file(tmp_path):
     from importlib import resources
 

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -200,3 +201,20 @@ def test_kb1_models_never_na(kb1, kb2, fixture_features, barnstars):
                       [m for m, c in MODEL_REGISTRY.items() if c.kb_id == "KB1"])
     assert len(rows) == 34
     assert all(t.na_pct == 0.0 for _c, t in rows)
+
+
+def test_run_matrix_independent_of_jobs(kb1, kb2, fixture_features, barnstars):
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    serial = run_matrix(kb_set, fixture_features, barnstars, jobs=1)
+    assert run_matrix(kb_set, fixture_features, barnstars, jobs=2) == serial
+    three = fixture_features[:3]
+    stars = {f.editor_id for f in three[:2]}
+    assert run_matrix(kb_set, three, stars, jobs=4) == run_matrix(kb_set, three, stars, jobs=1)
+
+
+def test_run_matrix_warns_unresolved_target_once(kb1, kb2, fixture_features, barnstars, caplog):
+    with caplog.at_level(logging.WARNING, logger="nonmono"):
+        run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features, barnstars, jobs=1)
+    unresolved = [r.getMessage() for r in caplog.records if "unresolved target" in r.getMessage()]
+    # KB1's Bot.a names a rule U4 that KB1 lacks; KB2 has no unresolved target
+    assert unresolved == ["contradiction Bot.a: unresolved target(s) U4; attack omitted"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -165,6 +167,41 @@ def test_aggregate_levels_unclipped(kb1):
     agg = fuzzy.aggregate_levels(necs, kb1)
     fmf = kb1.trust_levels["high"].fmf("triangular")
     assert all(m == pytest.approx(max(fmf(x), 0.0)) for x, m in zip(agg.xs, agg.mu))
+
+
+def _grid_walk(necessities, kb, variant, resolution=fuzzy.DEFAULT_RESOLUTION):
+    """Aggregation as a per-point walk: every level function evaluated at
+    every grid point, clipped at its level's truth, maximised over levels."""
+    truths = {level: 0.0 for level in kb.trust_levels}
+    for label, nec in necessities.items():
+        level = kb.rules[label].consequent_level
+        truths[level] = max(truths[level], nec)
+    xs = tuple(i / (resolution - 1) for i in range(resolution))
+    fmfs = {level: tl.fmf(variant) for level, tl in kb.trust_levels.items()}
+    mu = tuple(
+        max((min(truths[level], fmfs[level](x)) for level in truths), default=0.0)
+        for x in xs
+    )
+    return fuzzy.AggregatedFuzzySet(level_truths=truths, xs=xs, mu=mu)
+
+
+@pytest.mark.parametrize("variant", ["triangular", "gaussian"])
+@pytest.mark.parametrize("kb_name", ["kb1", "kb2"])
+def test_aggregate_levels_equals_grid_walk(request, kb_name, variant):
+    kb = request.getfixturevalue(kb_name)
+    rng = random.Random(f"{kb_name}-{variant}")
+    draws = [lambda: 0.0, lambda: 1.0, rng.random,
+             lambda: rng.choice((0.0, 1.0, rng.random()))]
+    for trial in range(16):
+        draw = draws[trial % len(draws)]
+        necs = {label: draw() for label in kb.rules}
+        agg = fuzzy.aggregate_levels(necs, kb, variant)
+        walk = _grid_walk(necs, kb, variant)
+        assert agg.level_truths == walk.level_truths
+        assert agg.xs == walk.xs
+        assert agg.mu == walk.mu
+        for method in ("centroid", "mean_of_max"):
+            assert fuzzy.defuzzify(agg, method) == fuzzy.defuzzify(walk, method)
 
 
 def test_centroid_symmetry(kb1):

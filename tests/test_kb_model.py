@@ -1,12 +1,17 @@
 import math
+import random
 
 import pytest
 
 from nonmono.kb import (
+    Contradiction,
     Feature,
     Fmf,
     KbValidationError,
+    KnowledgeBase,
     LinguisticTerm,
+    Rule,
+    RuleRef,
     contradiction_graph,
     parse_kb,
     trust_level_range,
@@ -133,3 +138,61 @@ def test_contradiction_graph_deterministic(kb1):
     a = contradiction_graph(kb1)
     b = contradiction_graph(kb1)
     assert a.nodes == b.nodes and a.edges == b.edges and a.layers == b.layers
+
+
+def _graph_kb(targets: dict[str, tuple[str, ...]]) -> KnowledgeBase:
+    """A knowledge base whose contradictions retract each other as ``targets``
+    says; every one fires on rule R, and only the graph is built from it."""
+    rule = Rule("R", ((("f", "on"),),), "low")
+    contradictions = {
+        label: Contradiction(label, RuleRef("R"), tgts) for label, tgts in targets.items()
+    }
+    return KnowledgeBase("graph", {}, {}, {"R": rule}, contradictions)
+
+
+def _reference_layers(edges: dict[str, tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
+    """Longest-path layers from reachability: a node sits one layer below the
+    deepest node that reaches it without being reached back."""
+    nodes = sorted(edges)
+    reach: dict[str, set[str]] = {}
+    for n in nodes:
+        seen, stack = set(), list(edges[n])
+        while stack:
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                stack.extend(edges[t])
+        reach[n] = seen
+    depth: dict[str, int] = {}
+
+    def node_depth(n: str) -> int:
+        if n not in depth:
+            upstream = [p for p in nodes if n in reach[p] and p not in reach[n]]
+            depth[n] = 1 + max((node_depth(p) for p in upstream), default=-1)
+        return depth[n]
+
+    n_layers = 1 + max((node_depth(n) for n in nodes), default=0)
+    return tuple(tuple(n for n in nodes if depth[n] == i) for i in range(n_layers))
+
+
+def test_contradiction_graph_long_chain():
+    # C1500 retracts C1499, ..., C1 retracts C0, which retracts rule R: one
+    # layer per link, deeper than the interpreter's recursion limit
+    depth = 1500
+    targets = {"C0": ("R",)}
+    targets.update({f"C{i}": (f"C{i - 1}",) for i in range(1, depth + 1)})
+    g = contradiction_graph(_graph_kb(targets))
+    assert len(g.layers) == depth + 1
+    assert g.layers == tuple((f"C{i}",) for i in range(depth, -1, -1))
+
+
+def test_contradiction_graph_layers_match_reachability():
+    rng = random.Random(7)
+    for _trial in range(30):
+        labels = [f"X{i:02d}" for i in range(rng.randint(1, 25))]
+        targets = {
+            label: tuple(rng.sample(labels, rng.randint(0, min(3, len(labels)))))
+            for label in labels
+        }
+        g = contradiction_graph(_graph_kb(targets))
+        assert g.layers == _reference_layers(g.edges)
