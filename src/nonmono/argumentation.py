@@ -21,6 +21,9 @@ log = logging.getLogger(__name__)
 IN, OUT, UNDEC = "in", "out", "undec"
 ENUMERATION_CAP = 24
 CAT_TIE_EPS = 1e-9
+CAT_TOLERANCE = 1e-9
+CAT_MAX_ITER = 10**5
+CAT_DAMPING = 0.5
 
 
 class FrameworkTooLargeError(ValueError):
@@ -56,9 +59,6 @@ class Labelling:
 
     def in_set(self) -> frozenset[str]:
         return frozenset(a for a, l in self.labels.items() if l == IN)
-
-    def out_set(self) -> frozenset[str]:
-        return frozenset(a for a, l in self.labels.items() if l == OUT)
 
     def undec_set(self) -> frozenset[str]:
         return frozenset(a for a, l in self.labels.items() if l == UNDEC)
@@ -236,14 +236,13 @@ def stable(af: ArgumentationFramework) -> list[Labelling]:
     return [l for l in complete(af) if not l.undec_set()]
 
 
-def categoriser(af: ArgumentationFramework, tolerance: float = 1e-9,
-                max_iter: int = 10**5, damping: float = 0.5) -> dict[str, float]:
+def categoriser(af: ArgumentationFramework) -> dict[str, float]:
     """Fixed point of ``Cat(a) = 1 / (1 + sum of attacker scores)``.
 
     Damped Jacobi iteration from all ones; unattacked arguments are pinned at
     exactly 1.  One undamped application after convergence returns scores
-    whose residual stays below the tolerance while acyclic chains come out
-    exact.
+    whose residual stays below ``CAT_TOLERANCE`` while acyclic chains come
+    out exact.
     """
     attackers = af.attackers()
 
@@ -254,14 +253,14 @@ def categoriser(af: ArgumentationFramework, tolerance: float = 1e-9,
         }
 
     scores = {a: 1.0 for a in af.arguments}
-    for _ in range(max_iter):
+    for _ in range(CAT_MAX_ITER):
         nxt = apply(scores)
         residual = max((abs(nxt[a] - scores[a]) for a in scores), default=0.0)
-        if residual < tolerance / 2:
+        if residual < CAT_TOLERANCE / 2:
             return apply(scores)
-        scores = {a: scores[a] + damping * (nxt[a] - scores[a]) for a in scores}
+        scores = {a: scores[a] + CAT_DAMPING * (nxt[a] - scores[a]) for a in scores}
     raise RuntimeError(
-        f"categoriser did not converge within {max_iter} iterations (residual {residual:.3e})"
+        f"categoriser did not converge within {CAT_MAX_ITER} iterations (residual {residual:.3e})"
     )
 
 
@@ -327,13 +326,47 @@ def accrue_categoriser(subaf: ArgumentationFramework, scores: dict[str, float],
     return _accrue_values(pairs, weighted)
 
 
+@dataclass(frozen=True)
+class ArgumentationOutcome:
+    """One editor's argumentation run: the trust and the structures that
+    produced it.  Extension-based semantics fill ``labellings``, the
+    categoriser fills ``scores``."""
+
+    trust: float | None
+    subaf: ArgumentationFramework
+    values: dict[str, float]
+    labellings: list[Labelling] | None = None
+    scores: dict[str, float] | None = None
+
+    def trace(self) -> dict:
+        """JSON-ready trace: activated arguments, kept attacks, forecast
+        values, labellings or scores, then the trust."""
+        subaf = self.subaf
+        trace: dict = {
+            "activated_arguments": sorted(subaf.arguments),
+            "kept_attacks": [
+                {"from": s, "to": t, "kind": subaf.attack_kinds[(s, t)]}
+                for s, t in subaf.attacks
+            ],
+            "forecast_values": {a: self.values[a] for a in sorted(self.values)},
+        }
+        if self.scores is not None:
+            trace["scores"] = {a: self.scores[a] for a in sorted(self.scores)}
+        else:
+            trace["labellings"] = [
+                {a: l.labels[a] for a in sorted(l.labels)} for l in self.labellings
+            ]
+        trace["trust"] = self.trust
+        return trace
+
+
 def run_argumentation(
     kb: KnowledgeBase,
     features,
     semantics: str,
     use_strength: bool,
     af: ArgumentationFramework | None = None,
-) -> float | None:
+) -> ArgumentationOutcome:
     """Full per-editor pipeline: elicit, label, accrue."""
     af = af or build_af(kb)
     subaf = elicit_subaf(af, features, kb, use_strength)
@@ -344,7 +377,8 @@ def run_argumentation(
     }
     if semantics == "categoriser":
         scores = categoriser(subaf)
-        return accrue_categoriser(subaf, scores, values, weighted=use_strength)
+        trust = accrue_categoriser(subaf, scores, values, weighted=use_strength)
+        return ArgumentationOutcome(trust, subaf, values, scores=scores)
     if semantics == "grounded":
         labellings = [grounded(subaf)]
     elif semantics == "preferred":
@@ -353,36 +387,5 @@ def run_argumentation(
         labellings = stable(subaf)
     else:
         raise ValueError(f"unknown semantics {semantics!r}")
-    return accrue_extensions(subaf, labellings, values, weighted=use_strength)
-
-
-def explain(kb: KnowledgeBase, features, semantics: str, use_strength: bool,
-            af: ArgumentationFramework | None = None) -> dict:
-    """Structured trace of one editor's argumentation run."""
-    af = af or build_af(kb)
-    subaf = elicit_subaf(af, features, kb, use_strength)
-    values = {
-        a: argument_value(kb, arg, features)
-        for a, arg in subaf.arguments.items()
-        if arg.kind == "forecast"
-    }
-    trace: dict = {
-        "activated_arguments": sorted(subaf.arguments),
-        "kept_attacks": [
-            {"from": s, "to": t, "kind": subaf.attack_kinds[(s, t)]}
-            for s, t in subaf.attacks
-        ],
-        "forecast_values": {a: values[a] for a in sorted(values)},
-    }
-    if semantics == "categoriser":
-        scores = categoriser(subaf)
-        trace["scores"] = {a: scores[a] for a in sorted(scores)}
-        trace["trust"] = accrue_categoriser(subaf, scores, values, weighted=use_strength)
-    else:
-        labellings = [grounded(subaf)] if semantics == "grounded" else (
-            preferred(subaf) if semantics == "preferred" else stable(subaf))
-        trace["labellings"] = [
-            {a: l.labels[a] for a in sorted(l.labels)} for l in labellings
-        ]
-        trace["trust"] = accrue_extensions(subaf, labellings, values, weighted=use_strength)
-    return trace
+    trust = accrue_extensions(subaf, labellings, values, weighted=use_strength)
+    return ArgumentationOutcome(trust, subaf, values, labellings=labellings)

@@ -70,7 +70,7 @@ def cmd_infer(args) -> int:
         raise UserError(f"unknown model id {args.model!r}")
     kb = _load_kb_for_model(config, args.kb)
     features = read_features_csv(args.features)
-    explain_target = None
+    explain_target = af = None
     if args.explain is not None:
         if config.engine != "argumentation":
             raise UserError("--explain is only available for argumentation models (A*)")
@@ -78,12 +78,13 @@ def cmd_infer(args) -> int:
         if not match:
             raise UserError(f"editor {args.explain!r} not present in {args.features}")
         explain_target = match[0]
-    trust = evaluation.run_model(config, kb, features)
+        af = argumentation.build_af(kb)
+    trust = evaluation.run_model(config, kb, features, af=af)
     evaluation.write_trust_csv(trust, config.id, args.out)
     if explain_target is not None:
-        trace = argumentation.explain(kb, explain_target.as_dict(),
-                                      config.semantics, config.use_strength)
-        print(json.dumps({"editor_id": args.explain, "model_id": config.id, **trace},
+        outcome = argumentation.run_argumentation(kb, explain_target.as_dict(),
+                                                  config.semantics, config.use_strength, af)
+        print(json.dumps({"editor_id": args.explain, "model_id": config.id, **outcome.trace()},
                          indent=2, sort_keys=False))
     assigned = sum(1 for v in trust.values() if v is not None)
     print(f"{len(trust)} editors, {assigned} with assigned trust")

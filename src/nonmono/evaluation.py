@@ -176,29 +176,28 @@ def run_model(
     """Per-editor trust values of one model; an engine failure for an editor
     degrades to NA for that editor and the run continues.  ``af`` and
     ``graph`` are ``kb``'s framework and contradiction graph, built here when
-    not given."""
-    if config.engine == "argumentation":
-        if af is None:
-            af = argumentation.build_af(kb)
-    elif graph is None:
-        graph = contradiction_graph(kb)
+    not given.  An unknown engine raises ``ValueError`` before any editor is
+    evaluated."""
+    if config.engine == "expert":
+        graph = graph or contradiction_graph(kb)
+        trust_of = lambda vec: expert.run_expert(kb, vec, config.heuristic, graph).trust
+    elif config.engine == "fuzzy":
+        graph = graph or contradiction_graph(kb)
+        trust_of = lambda vec: fuzzy.run_fuzzy(
+            kb, vec, config.operator, config.defuzz, config.use_weights,
+            config.fmf_variant, graph=graph,
+        )
+    elif config.engine == "argumentation":
+        af = af or argumentation.build_af(kb)
+        trust_of = lambda vec: argumentation.run_argumentation(
+            kb, vec, config.semantics, config.use_strength, af,
+        ).trust
+    else:
+        raise ValueError(f"model {config.id}: unknown engine {config.engine!r}")
     trust: dict[str, float | None] = {}
     for f in features:
-        vec = f.as_dict()
         try:
-            if config.engine == "expert":
-                trust[f.editor_id] = expert.run_expert(kb, vec, config.heuristic, graph).trust
-            elif config.engine == "fuzzy":
-                trust[f.editor_id] = fuzzy.run_fuzzy(
-                    kb, vec, config.operator, config.defuzz,
-                    config.use_weights, config.fmf_variant, graph=graph,
-                )
-            elif config.engine == "argumentation":
-                trust[f.editor_id] = argumentation.run_argumentation(
-                    kb, vec, config.semantics, config.use_strength, af,
-                )
-            else:
-                raise ValueError(f"unknown engine {config.engine!r}")
+            trust[f.editor_id] = trust_of(f.as_dict())
         except Exception:
             log.exception("model %s failed for editor %s; recording NA", config.id, f.editor_id)
             trust[f.editor_id] = None

@@ -83,10 +83,6 @@ def dnf_necessity(dnf: Dnf, grades, ops: FuzzyOperatorSet) -> float:
     return acc
 
 
-def rule_necessity(rule, grades, ops: FuzzyOperatorSet) -> float:
-    return dnf_necessity(rule.antecedent, grades, ops)
-
-
 def necessity_update(nec: float, supports, attackers) -> float:
     """Possibilistic update of one proposition's necessity.
 
@@ -102,7 +98,7 @@ def necessity_update(nec: float, supports, attackers) -> float:
 
 
 def initial_necessities(kb: KnowledgeBase, grades, ops: FuzzyOperatorSet) -> dict[str, float]:
-    return {label: rule_necessity(rule, grades, ops) for label, rule in kb.rules.items()}
+    return {label: dnf_necessity(rule.antecedent, grades, ops) for label, rule in kb.rules.items()}
 
 
 def resolve_possibility(
@@ -151,23 +147,20 @@ def apply_rule_weights(necessities: dict[str, float], kb: KnowledgeBase) -> dict
     }
 
 
-@lru_cache(maxsize=8)
-def _grid(resolution: int) -> tuple[float, ...]:
-    return tuple(i / (resolution - 1) for i in range(resolution))
+_GRID = tuple(i / (DEFAULT_RESOLUTION - 1) for i in range(DEFAULT_RESOLUTION))
 
 
 @lru_cache(maxsize=128)
-def _level_curve(fmf: Fmf, resolution: int) -> tuple[float, ...]:
+def _level_curve(fmf: Fmf) -> tuple[float, ...]:
     """Membership of every grid point in one level function.  Keyed by the
     function's value, so equal functions of different KBs share a curve."""
-    return tuple(map(fmf, _grid(resolution)))
+    return tuple(map(fmf, _GRID))
 
 
 def aggregate_levels(
     necessities: dict[str, float],
     kb: KnowledgeBase,
     variant: str = "triangular",
-    resolution: int = DEFAULT_RESOLUTION,
 ) -> AggregatedFuzzySet:
     """Disjunctive aggregation: level truth = max over rules inferring it;
     the output curve is the pointwise max of level functions clipped there."""
@@ -175,16 +168,15 @@ def aggregate_levels(
     for label, nec in necessities.items():
         level = kb.rules[label].consequent_level
         truths[level] = max(truths[level], nec)
-    xs = _grid(resolution)
     clipped = [
-        map(min, repeat(truths[level]), _level_curve(tl.fmf(variant), resolution))
+        map(min, repeat(truths[level]), _level_curve(tl.fmf(variant)))
         for level, tl in kb.trust_levels.items()
     ]
     if len(clipped) == 1:  # max() of one argument would iterate it
         mu = tuple(clipped[0])
     else:
         mu = tuple(map(max, *clipped))
-    return AggregatedFuzzySet(level_truths=truths, xs=xs, mu=mu)
+    return AggregatedFuzzySet(level_truths=truths, xs=_GRID, mu=mu)
 
 
 def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
@@ -209,7 +201,6 @@ def run_fuzzy(
     defuzz: str,
     use_weights: bool,
     variant: str = "triangular",
-    resolution: int = DEFAULT_RESOLUTION,
     graph: ContradictionGraph | None = None,
 ) -> float | None:
     ops = OPERATORS[operator]
@@ -218,5 +209,5 @@ def run_fuzzy(
     necs = resolve_possibility(kb, necs, grades, ops, graph)
     if use_weights:
         necs = apply_rule_weights(necs, kb)
-    agg = aggregate_levels(necs, kb, variant, resolution)
+    agg = aggregate_levels(necs, kb, variant)
     return defuzzify(agg, defuzz)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -22,6 +23,8 @@ FEATURE_COLUMNS = (
     "editor_id", "anonymous", "pages", "activity", "not_minor",
     "comments", "presence", "frequency", "regularity", "bytes",
 )
+_INTEGER_COLUMNS = ("anonymous", "pages", "activity", "bytes")
+_RATIO_COLUMNS = ("not_minor", "comments", "presence", "frequency", "regularity")
 _DAY = 86400
 
 
@@ -373,21 +376,38 @@ def read_features_csv(path: str) -> list[EditorFeatures]:
             if not row:
                 continue
             try:
-                out.append(EditorFeatures(
-                    editor_id=row[0],
-                    anonymous=int(float(row[1])),
-                    pages=int(float(row[2])),
-                    activity=int(float(row[3])),
-                    not_minor=float(row[4]),
-                    comments=float(row[5]),
-                    presence=float(row[6]),
-                    frequency=float(row[7]),
-                    regularity=float(row[8]),
-                    bytes=int(float(row[9])),
-                ))
-            except (IndexError, ValueError) as e:
+                out.append(_feature_row(row))
+            except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: bad feature row ({e})") from None
     return out
+
+
+def _feature_row(row: list[str]) -> EditorFeatures:
+    """One features-file row.  Every value must be finite, counts
+    non-negative integers, ``bytes`` an integer, ratios in [0, 1] and
+    ``anonymous`` 0 or 1; the first violation raises ``ValueError``."""
+    if len(row) < len(FEATURE_COLUMNS):
+        raise ValueError(f"{len(row)} columns, expected {len(FEATURE_COLUMNS)}")
+    values: dict[str, float] = {}
+    for name, text in zip(FEATURE_COLUMNS[1:], row[1:]):
+        x = float(text)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} {text!r} is not finite")
+        values[name] = x
+    for name in _INTEGER_COLUMNS:
+        if not values[name].is_integer():
+            raise ValueError(f"{name} {values[name]!r} is not an integer")
+    for name in ("pages", "activity"):
+        if values[name] < 0:
+            raise ValueError(f"{name} {values[name]!r} is negative")
+    for name in _RATIO_COLUMNS:
+        if not 0.0 <= values[name] <= 1.0:
+            raise ValueError(f"{name} {values[name]!r} is outside [0, 1]")
+    if values["anonymous"] not in (0.0, 1.0):
+        raise ValueError(f"anonymous {values['anonymous']!r} is neither 0 nor 1")
+    return EditorFeatures(editor_id=row[0], **{
+        name: int(x) if name in _INTEGER_COLUMNS else x for name, x in values.items()
+    })
 
 
 def read_barnstars(path: str) -> set[str]:

@@ -11,7 +11,6 @@ from .model import (
     RuleRef,
     TrustLevel,
     contradiction_graph,
-    trust_level_range,
 )
 from .parser import (
     KbParseError,
@@ -25,6 +24,6 @@ from .parser import (
 __all__ = [
     "Contradiction", "ContradictionGraph", "Feature", "Fmf", "KbValidationError",
     "KnowledgeBase", "LinguisticTerm", "Premise", "Rule", "RuleRef", "TrustLevel",
-    "contradiction_graph", "trust_level_range",
+    "contradiction_graph",
     "KbParseError", "ParseDiagnostic", "ParseResult", "load_builtin", "parse_kb", "serialize_kb",
 ]

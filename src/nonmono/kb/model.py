@@ -22,7 +22,6 @@ __all__ = [
     "ContradictionGraph",
     "KbValidationError",
     "contradiction_graph",
-    "trust_level_range",
 ]
 
 MAX_FEATURE_WEIGHT = 8
@@ -80,6 +79,15 @@ class Fmf:
         return (d - x) / (d - c)
 
 
+def _select_fmf(fmfs: dict[str, Fmf], variant: str | None, kind: str, label: str) -> Fmf:
+    """Membership function for ``variant``, falling back to the sole one."""
+    if variant is not None and variant in fmfs:
+        return fmfs[variant]
+    if not fmfs:
+        raise KbValidationError(f"{kind} {label}: no membership function declared")
+    return next(iter(fmfs.values()))
+
+
 @dataclass(frozen=True)
 class LinguisticTerm:
     """A named numeric range of a feature, e.g. ``medium_high = [10, 19]``.
@@ -103,12 +111,7 @@ class LinguisticTerm:
             )
 
     def fmf(self, variant: str | None = None) -> Fmf:
-        """Membership function for ``variant``, falling back to the sole one."""
-        if variant is not None and variant in self.fmfs:
-            return self.fmfs[variant]
-        if not self.fmfs:
-            raise KbValidationError(f"term {self.label}: no membership function declared")
-        return next(iter(self.fmfs.values()))
+        return _select_fmf(self.fmfs, variant, "term", self.label)
 
     def contains(self, value: float) -> bool:
         """Crisp range membership; saturated terms are unbounded above."""
@@ -149,17 +152,6 @@ class Feature:
                 return t
         raise KeyError(f"feature {self.name} has no term {label!r}")
 
-    def active_term(self, value: float) -> LinguisticTerm | None:
-        """The term whose crisp range holds ``value``.
-
-        Adjacent closed ranges may share an endpoint; the tie goes to the
-        lower-ranged term (terms are scanned in ascending range order).
-        """
-        for t in sorted(self.terms, key=lambda t: (t.lower, t.upper)):
-            if t.contains(value):
-                return t
-        return None
-
 
 @dataclass(frozen=True)
 class TrustLevel:
@@ -171,11 +163,7 @@ class TrustLevel:
     fmfs: dict[str, Fmf] = field(default_factory=dict)
 
     def fmf(self, variant: str | None = None) -> Fmf:
-        if variant is not None and variant in self.fmfs:
-            return self.fmfs[variant]
-        if not self.fmfs:
-            raise KbValidationError(f"trust level {self.label}: no membership function declared")
-        return next(iter(self.fmfs.values()))
+        return _select_fmf(self.fmfs, variant, "trust level", self.label)
 
 
 # A premise is a (feature, term) pair; an antecedent is a DNF over premises:
@@ -387,10 +375,3 @@ def _tarjan_scc(nodes: list[str], edges: dict[str, tuple[str, ...]]) -> dict[str
                 low[parent] = min(low[parent], low[node])
     return comp_of
 
-
-def trust_level_range(kb: KnowledgeBase, level: str) -> tuple[float, float]:
-    """Numeric range of a declared trust level."""
-    tl = kb.trust_levels.get(level)
-    if tl is None:
-        raise KeyError(f"unknown trust level {level!r}")
-    return (tl.lower, tl.upper)

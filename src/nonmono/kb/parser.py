@@ -448,7 +448,7 @@ def _fmt_dnf(dnf) -> str:
     return " OR ".join(parts)
 
 
-def load_builtin(kb_id: str, validate: bool = True) -> KnowledgeBase:
+def load_builtin(kb_id: str) -> KnowledgeBase:
     """Load one of the shipped knowledge bases (``KB1`` or ``KB2``)."""
     if kb_id not in BUILTIN_IDS:
         raise ValueError(f"unknown builtin knowledge base {kb_id!r}; expected one of {BUILTIN_IDS}")

@@ -100,7 +100,7 @@ def test_criterion_6_cross_engine_oracle(kb1, feature_vectors):
     for fv in feature_vectors.values():
         h3 = expert.run_expert(bare, fv, "h3").trust
         for semantics in ("grounded", "preferred", "categoriser", "stable"):
-            out = arg.run_argumentation(bare, fv, semantics, False, af)
+            out = arg.run_argumentation(bare, fv, semantics, False, af).trust
             worst = max(worst, abs(out - h3))
     report(6, worst <= 1e-12,
            f"binary accrual equals expert h3 (max deviation {worst:.2e})")

@@ -103,8 +103,7 @@ trustlevel low = [0.0, 1.0] fmf crisp(0.0, 1.0)
 def test_grounded_chain():
     af = toy_af({"A": 1, "B": 1, "C": 1}, [("A", "B"), ("B", "C")])
     lab = arg.grounded(af)
-    assert lab.in_set() == {"A", "C"}
-    assert lab.out_set() == {"B"}
+    assert lab.labels == {"A": "in", "B": "out", "C": "in"}
 
 
 def test_grounded_mutual_undecided():
@@ -157,7 +156,7 @@ def test_categoriser_values():
 def test_categoriser_residual():
     af = toy_af({c: 1 for c in "ABCDE"},
                 [("A", "B"), ("B", "A"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "C")])
-    scores = arg.categoriser(af, tolerance=1e-9)
+    scores = arg.categoriser(af)
     attackers = af.attackers()
     for a, s in scores.items():
         expected = 1.0 if not attackers[a] else 1.0 / (1.0 + sum(scores[b] for b in attackers[a]))
@@ -213,7 +212,7 @@ def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):
         for fv in feature_vectors.values():
             h3 = expert.run_expert(bare, fv, "h3").trust
             for semantics in ("grounded", "preferred", "categoriser", "stable"):
-                out = arg.run_argumentation(bare, fv, semantics, False, af)
+                out = arg.run_argumentation(bare, fv, semantics, False, af).trust
                 assert out == pytest.approx(h3, abs=1e-12)
 
 
@@ -236,7 +235,8 @@ def test_grounded_in_forecast_vs_expert_survivors(kb1, kb2, feature_vectors):
 
 
 def test_explain_structure(kb1, feature_vectors):
-    trace = arg.explain(kb1, feature_vectors["alice"], "preferred", False)
-    assert set(trace) >= {"activated_arguments", "kept_attacks", "forecast_values",
-                          "labellings", "trust"}
-    assert trace["trust"] is not None
+    outcome = arg.run_argumentation(kb1, feature_vectors["alice"], "preferred", False)
+    trace = outcome.trace()
+    assert list(trace) == ["activated_arguments", "kept_attacks", "forecast_values",
+                           "labellings", "trust"]
+    assert trace["trust"] is not None and trace["trust"] == outcome.trust

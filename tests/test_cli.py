@@ -4,7 +4,8 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from nonmono.cli import main
-from nonmono.evaluation import read_results_csv, read_trust_csv
+from nonmono.evaluation import MODEL_REGISTRY, read_results_csv, read_trust_csv
+from nonmono.ingest import FEATURE_COLUMNS
 
 
 @pytest.fixture()
@@ -80,6 +81,20 @@ def test_infer_explain(features_csv, tmp_path, capsys):
     assert trace["editor_id"] == "10.1.2.3"
     assert trace["labellings"]
     assert trace["kept_attacks"]
+
+
+@pytest.mark.parametrize("model", ["A1", "A2", "A3", "A4", "A5", "A6"])
+def test_infer_explain_trust_matches_csv(model, features_csv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["infer", "--model", model, "--features", str(features_csv),
+               "--out", str(out), "--explain", "10.1.2.3"])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    trace = json.loads(stdout[stdout.index("{"):stdout.rindex("}") + 1])
+    acceptance = "scores" if MODEL_REGISTRY[model].semantics == "categoriser" else "labellings"
+    assert list(trace) == ["editor_id", "model_id", "activated_arguments", "kept_attacks",
+                           "forecast_values", acceptance, "trust"]
+    assert float(format(trace["trust"], ".10g")) == read_trust_csv(str(out))["10.1.2.3"]
 
 
 def test_evaluate_command(features_csv, barnstars_path, tmp_path, capsys):
@@ -170,6 +185,19 @@ def test_report_command(features_csv, barnstars_path, tmp_path):
                "--features", str(features_csv), "--barnstars", str(barnstars_path)])
     assert rc == 0
     assert (tmp_path / "rep" / "rank.svg").exists()
+
+
+def test_run_matrix_rejects_bad_feature_row(barnstars_path, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text(",".join(FEATURE_COLUMNS) + "\n"
+                        + "a,0,3,5,0.5,0.5,0.5,0.5,0.5,-20\n"
+                        + "b,0,3.9,5,0.5,0.5,0.5,0.5,0.5,-20\n")
+    rc = main(["run-matrix", "--features", str(features), "--barnstars", str(barnstars_path),
+               "--out", str(tmp_path / "results.csv"), "--models", "E1", "--jobs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "pages" in err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_bad_arguments_exit_1(capsys):

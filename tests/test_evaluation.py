@@ -189,6 +189,11 @@ def test_engine_error_degrades_to_na(kb1, fixture_features, monkeypatch):
     assert sum(1 for v in trust.values() if v is not None) == len(fixture_features) - 1
 
 
+def test_run_model_unknown_engine_raises(kb1, fixture_features):
+    with pytest.raises(ValueError, match="bogus"):
+        run_model(evaluation.ModelConfig("X1", "bogus", "KB1"), kb1, fixture_features)
+
+
 def test_matrix_reproducible(kb1, kb2, fixture_features, barnstars):
     kb_set = {"KB1": kb1, "KB2": kb2}
     a = run_matrix(kb_set, fixture_features, barnstars, ["E1", "FL3", "A2"])

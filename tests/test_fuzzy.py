@@ -236,8 +236,12 @@ rule R: IF f is on THEN trust is band
 
 def test_centroid_converges_with_resolution(kb1, feature_vectors):
     fv = feature_vectors["bob"]
-    coarse = fuzzy.run_fuzzy(kb1, fv, "zadeh", "centroid", False, resolution=1001)
-    fine = fuzzy.run_fuzzy(kb1, fv, "zadeh", "centroid", False, resolution=2002)
+    ops = fuzzy.OPERATORS["zadeh"]
+    grades = fuzzy.fuzzify(fv, kb1)
+    necs = fuzzy.resolve_possibility(kb1, fuzzy.initial_necessities(kb1, grades, ops),
+                                     grades, ops)
+    coarse = fuzzy.run_fuzzy(kb1, fv, "zadeh", "centroid", False)
+    fine = fuzzy.defuzzify(_grid_walk(necs, kb1, "triangular", 2002), "centroid")
     assert abs(coarse - fine) <= 2 / 1001
 
 

@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from nonmono.ingest import (
+    FEATURE_COLUMNS,
     DumpParseError,
     RevisionRecord,
     accumulate,
@@ -164,6 +165,36 @@ def test_features_csv_rejects_bad_header(tmp_path):
     path.write_text("nope\n1\n")
     with pytest.raises(ValueError, match="header"):
         read_features_csv(str(path))
+
+
+VALID_ROW = {"editor_id": "x", "anonymous": "0", "pages": "3", "activity": "5",
+             "not_minor": "0.5", "comments": "0.5", "presence": "0.5", "frequency": "0",
+             "regularity": "1", "bytes": "-20"}
+
+
+@pytest.mark.parametrize("column, value, reason", [
+    ("presence", "nan", "not finite"),
+    ("bytes", "inf", "not finite"),
+    ("pages", "-1", "negative"),
+    ("activity", "-4", "negative"),
+    ("pages", "3.9", "not an integer"),
+    ("activity", "4.5", "not an integer"),
+    ("bytes", "10.5", "not an integer"),
+    ("not_minor", "1.5", "outside"),
+    ("regularity", "-0.1", "outside"),
+    ("anonymous", "2", "neither 0 nor 1"),
+])
+def test_features_csv_rejects_invalid_value(tmp_path, column, value, reason):
+    path = tmp_path / "features.csv"
+    bad = dict(VALID_ROW, **{column: value})
+    path.write_text("\n".join(",".join(row[c] for c in FEATURE_COLUMNS)
+                              for row in (dict(zip(FEATURE_COLUMNS, FEATURE_COLUMNS)),
+                                          VALID_ROW, bad)) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_features_csv(str(path))
+    message = str(err.value)
+    assert message.startswith(f"{path}: line 3: ")
+    assert column in message and reason in message
 
 
 class SyntheticDump(io.RawIOBase):

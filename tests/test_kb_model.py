@@ -14,7 +14,6 @@ from nonmono.kb import (
     RuleRef,
     contradiction_graph,
     parse_kb,
-    trust_level_range,
 )
 
 KB1_RULE_LABELS = {
@@ -72,22 +71,14 @@ def test_term_overlap_rejected():
     mk = lambda label, lo, hi: LinguisticTerm(label, lo, hi, {"triangular": Fmf("crisp", (lo, hi))})
     with pytest.raises(KbValidationError):
         Feature("f", 1, (mk("a", 0.0, 0.6), mk("b", 0.5, 1.0)), 0.0, 1.0)
-    # shared endpoints are crisp-legal; ties go to the lower term
-    f = Feature("f", 1, (mk("a", 0.0, 0.5), mk("b", 0.5, 1.0)), 0.0, 1.0)
-    assert f.active_term(0.5).label == "a"
+    # shared endpoints are crisp-legal
+    Feature("f", 1, (mk("a", 0.0, 0.5), mk("b", 0.5, 1.0)), 0.0, 1.0)
 
 
 def test_weight_range_enforced():
     term = LinguisticTerm("a", 0.0, 1.0, {"triangular": Fmf("crisp", (0.0, 1.0))})
     with pytest.raises(KbValidationError):
         Feature("f", 9, (term,), 0.0, 1.0)
-
-
-def test_trust_level_ranges(kb1):
-    assert trust_level_range(kb1, "high") == (0.75, 1.0)
-    assert trust_level_range(kb1, "low") == (0.0, 0.25)
-    with pytest.raises(KeyError, match="very_high"):
-        trust_level_range(kb1, "very_high")
 
 
 def test_trust_levels_tile_unit_interval(kb1):
