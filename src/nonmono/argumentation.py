@@ -360,14 +360,14 @@ class ArgumentationOutcome:
         return trace
 
 
-def run_argumentation(
+def elicit(
     kb: KnowledgeBase,
     features,
-    semantics: str,
     use_strength: bool,
     af: ArgumentationFramework | None = None,
-) -> ArgumentationOutcome:
-    """Full per-editor pipeline: elicit, label, accrue."""
+) -> tuple[ArgumentationFramework, dict[str, float]]:
+    """The semantics-independent part of a run: the editor's sub-framework
+    and the values of its forecast arguments."""
     af = af or build_af(kb)
     subaf = elicit_subaf(af, features, kb, use_strength)
     values = {
@@ -375,6 +375,12 @@ def run_argumentation(
         for a, arg in subaf.arguments.items()
         if arg.kind == "forecast"
     }
+    return subaf, values
+
+
+def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
+                     semantics: str, use_strength: bool) -> ArgumentationOutcome:
+    """Acceptance under ``semantics`` and accrual of the accepted values."""
     if semantics == "categoriser":
         scores = categoriser(subaf)
         trust = accrue_categoriser(subaf, scores, values, weighted=use_strength)
@@ -389,3 +395,15 @@ def run_argumentation(
         raise ValueError(f"unknown semantics {semantics!r}")
     trust = accrue_extensions(subaf, labellings, values, weighted=use_strength)
     return ArgumentationOutcome(trust, subaf, values, labellings=labellings)
+
+
+def run_argumentation(
+    kb: KnowledgeBase,
+    features,
+    semantics: str,
+    use_strength: bool,
+    af: ArgumentationFramework | None = None,
+) -> ArgumentationOutcome:
+    """Full per-editor pipeline: elicit, label, accrue."""
+    subaf, values = elicit(kb, features, use_strength, af)
+    return label_and_accrue(subaf, values, semantics, use_strength)

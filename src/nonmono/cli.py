@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 user or input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -17,6 +18,7 @@ from . import argumentation, evaluation, plots
 from .evaluation import read_trust_csv
 from .ingest import (
     WIKI_START_DEFAULT,
+    DumpParseError,
     extract_features,
     parse_timestamp,
     read_barnstars,
@@ -35,6 +37,20 @@ class UserError(Exception):
     """Input problem attributable to the invocation, not the code."""
 
 
+# what reading a file, a date or a knowledge base named by the invocation raises
+_INPUT_ERRORS = (OSError, ValueError, csv.Error)
+
+
+def _as_user_error(fn, *args, errors=_INPUT_ERRORS):
+    """``fn(*args)``, where ``fn`` reads or writes what the invocation named,
+    so the ``errors`` it raises are the invocation's (exit 1).  Exceptions
+    raised anywhere else are internal (exit 2)."""
+    try:
+        return fn(*args)
+    except errors as e:
+        raise UserError(e.args[0] if isinstance(e, KeyError) else str(e)) from None
+
+
 def _parse_date(text: str):
     ts = parse_timestamp(text)
     return ts.astimezone(timezone.utc)
@@ -44,14 +60,22 @@ def cmd_extract(args) -> int:
     dump = Path(args.dump)
     if not dump.is_file():
         raise UserError(f"dump file not found: {dump}")
-    with open(dump, "rb") as fh:
-        features = extract_features(
-            fh,
-            dump_instant=_parse_date(args.dump_date),
-            wiki_start_instant=_parse_date(args.wiki_start) if args.wiki_start else WIKI_START_DEFAULT,
-            window_days=args.window_days,
-        )
-    write_features_csv(features, args.out)
+    dump_instant = _as_user_error(_parse_date, args.dump_date)
+    wiki_start = (_as_user_error(_parse_date, args.wiki_start) if args.wiki_start
+                  else WIKI_START_DEFAULT)
+    if dump_instant <= wiki_start:
+        raise UserError(f"--dump-date {dump_instant.isoformat()} is not after the wiki "
+                        f"start {wiki_start.isoformat()}")
+    if args.window_days < 1:
+        raise UserError(f"--window-days must be 1 or more, not {args.window_days}")
+    try:
+        with open(dump, "rb") as fh:
+            features = extract_features(fh, dump_instant=dump_instant,
+                                        wiki_start_instant=wiki_start,
+                                        window_days=args.window_days)
+    except (OSError, DumpParseError) as e:
+        raise UserError(str(e)) from None
+    _as_user_error(write_features_csv, features, args.out, errors=OSError)
     print(f"{len(features)} editors")
     return 0
 
@@ -69,7 +93,7 @@ def cmd_infer(args) -> int:
     if config is None:
         raise UserError(f"unknown model id {args.model!r}")
     kb = _load_kb_for_model(config, args.kb)
-    features = read_features_csv(args.features)
+    features = _as_user_error(read_features_csv, args.features)
     explain_target = af = None
     if args.explain is not None:
         if config.engine != "argumentation":
@@ -80,7 +104,7 @@ def cmd_infer(args) -> int:
         explain_target = match[0]
         af = argumentation.build_af(kb)
     trust = evaluation.run_model(config, kb, features, af=af)
-    evaluation.write_trust_csv(trust, config.id, args.out)
+    _as_user_error(evaluation.write_trust_csv, trust, config.id, args.out, errors=OSError)
     if explain_target is not None:
         outcome = argumentation.run_argumentation(kb, explain_target.as_dict(),
                                                   config.semantics, config.use_strength, af)
@@ -92,8 +116,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trust = read_trust_csv(args.trust)
-    barnstars = read_barnstars(args.barnstars)
+    trust = _as_user_error(read_trust_csv, args.trust)
+    if not trust:
+        raise UserError(f"{args.trust}: no editors")
+    barnstars = _as_user_error(read_barnstars, args.barnstars)
     triple = evaluation.metric_triple(trust, barnstars)
     fmt = lambda v: "NA" if v is None else f"{v:.4f}"
     print(f"rank={fmt(triple.rank_of_barnstars)} spread={fmt(triple.spread)} "
@@ -127,27 +153,27 @@ def _write_plots(results, baseline_by_metric, out_dir: Path) -> list[Path]:
 def cmd_run_matrix(args) -> int:
     if args.jobs < 0:
         raise UserError(f"--jobs must be 0 (available parallelism) or more, not {args.jobs}")
-    features = read_features_csv(args.features)
+    model_filter = args.models.split(",") if args.models is not None else None
+    _as_user_error(evaluation.select_models, model_filter, errors=KeyError)
+    features = _as_user_error(read_features_csv, args.features)
+    if not features:
+        raise UserError(f"{args.features}: no editors")
     if not Path(args.barnstars).is_file():
         raise UserError(f"barnstars file not found: {args.barnstars}")
-    barnstars = read_barnstars(args.barnstars)
+    barnstars = _as_user_error(read_barnstars, args.barnstars)
     kb_set = {kb_id: load_builtin(kb_id) for kb_id in BUILTIN_IDS}
-    model_filter = args.models.split(",") if args.models is not None else None
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    try:
-        results = evaluation.run_matrix(kb_set, features, barnstars, model_filter, jobs=jobs)
-    except KeyError as e:
-        raise UserError(str(e)) from None
-    evaluation.write_results_csv(results, args.dataset, args.out)
+    results = evaluation.run_matrix(kb_set, features, barnstars, model_filter, jobs=jobs)
+    _as_user_error(evaluation.write_results_csv, results, args.dataset, args.out, errors=OSError)
     completed = sum(1 for _c, t in results if t.na_pct is not None and t.na_pct < 100.0)
     if args.plots:
-        baseline_trust = evaluation.baseline_feature_average(features)
+        baseline_trust = _as_user_error(evaluation.baseline_feature_average, features)
         baseline_by_metric = {
             "rank": evaluation.rank_of_barnstars(baseline_trust, barnstars),
             "spread": evaluation.spread(baseline_trust, barnstars),
         }
-        _write_plots([(c.id, t) for c, t in results], baseline_by_metric,
-                     Path(args.plot_dir or Path(args.out).parent))
+        _as_user_error(_write_plots, [(c.id, t) for c, t in results], baseline_by_metric,
+                       Path(args.plot_dir or Path(args.out).parent), errors=OSError)
     print(f"{len(results)} models, {completed} produced at least one trust value")
     if results and completed == 0:
         raise UserError("no model produced any trust value")
@@ -158,7 +184,8 @@ def cmd_kb_validate(args) -> int:
     path = Path(args.file)
     if not path.is_file():
         raise UserError(f"knowledge base file not found: {path}")
-    result = parse_kb(path.read_text("utf-8"))
+    text = _as_user_error(path.read_text, "utf-8")
+    result = _as_user_error(parse_kb, text)
     for diag in result.diagnostics:
         print(diag)
     if result.kb is None:
@@ -169,21 +196,22 @@ def cmd_kb_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = evaluation.read_results_csv(args.results)
+    rows = _as_user_error(evaluation.read_results_csv, args.results)
     triples = [
         (mid, evaluation.MetricTriple(rank, spr, na))
         for mid, _ds, rank, spr, na in rows
     ]
     baseline_by_metric = {}
     if args.features and args.barnstars:
-        features = read_features_csv(args.features)
-        barnstars = read_barnstars(args.barnstars)
-        baseline_trust = evaluation.baseline_feature_average(features)
+        features = _as_user_error(read_features_csv, args.features)
+        barnstars = _as_user_error(read_barnstars, args.barnstars)
+        baseline_trust = _as_user_error(evaluation.baseline_feature_average, features)
         baseline_by_metric = {
             "rank": evaluation.rank_of_barnstars(baseline_trust, barnstars),
             "spread": evaluation.spread(baseline_trust, barnstars),
         }
-    written = _write_plots(triples, baseline_by_metric, Path(args.out_dir))
+    written = _as_user_error(_write_plots, triples, baseline_by_metric, Path(args.out_dir),
+                             errors=OSError)
     print("\n".join(str(p) for p in written))
     return 0
 
@@ -251,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UserError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:

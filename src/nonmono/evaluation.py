@@ -91,7 +91,8 @@ def rank_of_barnstars(trust: Mapping[str, float | None], barnstars: set[str]) ->
     """Normalised sum of award-holder positions in the descending trust order.
 
     0 means every ranked award holder sits above every other editor, 100 the
-    reverse; exact ties rank the non-holder above the holder.
+    reverse; exact ties rank the non-holder above the holder.  Undefined,
+    and None, unless both award holders and other editors are ranked.
     """
     ranked = sorted(
         ((editor, value) for editor, value in trust.items() if value is not None),
@@ -101,7 +102,6 @@ def rank_of_barnstars(trust: Mapping[str, float | None], barnstars: set[str]) ->
     b_ranks = [i for i, (editor, _v) in enumerate(ranked, start=1) if editor in barnstars]
     b = len(b_ranks)
     if b == 0 or b == n:
-        log.warning("rank of barnstars undefined: %d ranked award holders of %d editors", b, n)
         return None
     s = sum(b_ranks)
     s_min = b * (b + 1) / 2
@@ -112,10 +112,10 @@ def rank_of_barnstars(trust: Mapping[str, float | None], barnstars: set[str]) ->
 
 
 def spread(trust: Mapping[str, float | None], barnstars: set[str]) -> float | None:
-    """Population standard deviation of award holders' assigned trust."""
+    """Population standard deviation of award holders' assigned trust; None
+    when no award holder has one."""
     values = [v for e, v in trust.items() if e in barnstars and v is not None]
     if not values:
-        log.warning("spread undefined: no award holder has an assigned trust value")
         return None
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
@@ -166,6 +166,97 @@ def baseline_feature_average(features: Sequence[EditorFeatures]) -> dict[str, fl
     return out
 
 
+@dataclass(frozen=True)
+class _KbStructures:
+    """One knowledge base with the structures its selected engines read."""
+
+    kb: KnowledgeBase
+    graph: ContradictionGraph | None
+    af: argumentation.ArgumentationFramework | None
+
+
+def _kb_structures(kb: KnowledgeBase, engines: set[str],
+                   af: argumentation.ArgumentationFramework | None = None,
+                   graph: ContradictionGraph | None = None) -> _KbStructures:
+    """Build the contradiction graph (expert, fuzzy) and the argumentation
+    framework (argumentation) that ``engines`` need and were not given."""
+    if graph is None and not engines.isdisjoint(("expert", "fuzzy")):
+        graph = contradiction_graph(kb)
+    if af is None and "argumentation" in engines:
+        af = argumentation.build_af(kb)
+    return _KbStructures(kb, graph, af)
+
+
+# Each engine's per-editor pipeline as a chain of stages.  A stage reads the
+# model fields it names and the previous stage's result.  Its sharing key is
+# the engine plus every field named up to and including it, so the models
+# whose keys agree share that stage's result for an editor: the 48 fuzzy
+# models fuzzify 4 times, resolve 12 times and aggregate 24 times.
+_STAGES = {
+    "expert": (
+        (("kb_id",), lambda s, _c, vec, _prev: expert.surviving_rules(s.kb, vec, s.graph)[0]),
+        (("heuristic",), lambda _s, c, _vec, rules: expert.aggregate(rules, c.heuristic)),
+    ),
+    "fuzzy": (
+        (("kb_id", "fmf_variant"),
+         lambda s, c, vec, _prev: fuzzy.fuzzify(vec, s.kb, c.fmf_variant)),
+        (("operator",),
+         lambda s, c, _vec, grades: fuzzy.resolved_necessities(s.kb, grades, c.operator, s.graph)),
+        (("use_weights",),
+         lambda s, c, _vec, necs: fuzzy.weighted_levels(s.kb, necs, c.use_weights, c.fmf_variant)),
+        (("defuzz",), lambda _s, c, _vec, agg: fuzzy.defuzzify(agg, c.defuzz)),
+    ),
+    "argumentation": (
+        (("kb_id", "use_strength"),
+         lambda s, c, vec, _prev: argumentation.elicit(s.kb, vec, c.use_strength, s.af)),
+        (("semantics",), lambda _s, c, _vec, elicited: argumentation.label_and_accrue(
+            *elicited, c.semantics, c.use_strength).trust),
+    ),
+}
+
+
+def _evaluate(selected: Sequence[ModelConfig], structures: Mapping[str, _KbStructures],
+              features: Sequence[EditorFeatures]) -> dict[str, dict[str, float | None]]:
+    """Per-editor trust of every selected model, editor by editor.
+
+    For each editor every distinct stage runs once and its result fans out
+    to the models that share it.  A stage that raises gives NA to every
+    model sharing it, with one ERROR per model naming model and editor.  An
+    unknown engine raises ``ValueError`` before any editor is evaluated.
+    """
+    chains = []
+    for config in selected:
+        stages = _STAGES.get(config.engine)
+        if stages is None:
+            raise ValueError(f"model {config.id}: unknown engine {config.engine!r}")
+        key: tuple = (config.engine,)
+        keyed = []
+        for fields, run in stages:
+            key += tuple(getattr(config, name) for name in fields)
+            keyed.append((key, run))
+        chains.append((config, structures[config.kb_id], keyed))
+    trust: dict[str, dict[str, float | None]] = {config.id: {} for config in selected}
+    for f in features:
+        vec = f.as_dict()
+        done: dict[tuple, object] = {}  # stage key -> result or the exception it raised
+        for config, s, keyed in chains:
+            value = None
+            for key, run in keyed:
+                if key not in done:
+                    try:
+                        done[key] = run(s, config, vec, value)
+                    except Exception as exc:
+                        done[key] = exc
+                value = done[key]
+                if isinstance(value, Exception):
+                    log.error("model %s failed for editor %s; recording NA",
+                              config.id, f.editor_id, exc_info=value)
+                    value = None
+                    break
+            trust[config.id][f.editor_id] = value
+    return trust
+
+
 def run_model(
     config: ModelConfig,
     kb: KnowledgeBase,
@@ -173,56 +264,58 @@ def run_model(
     af: argumentation.ArgumentationFramework | None = None,
     graph: ContradictionGraph | None = None,
 ) -> dict[str, float | None]:
-    """Per-editor trust values of one model; an engine failure for an editor
-    degrades to NA for that editor and the run continues.  ``af`` and
-    ``graph`` are ``kb``'s framework and contradiction graph, built here when
-    not given.  An unknown engine raises ``ValueError`` before any editor is
-    evaluated."""
-    if config.engine == "expert":
-        graph = graph or contradiction_graph(kb)
-        trust_of = lambda vec: expert.run_expert(kb, vec, config.heuristic, graph).trust
-    elif config.engine == "fuzzy":
-        graph = graph or contradiction_graph(kb)
-        trust_of = lambda vec: fuzzy.run_fuzzy(
-            kb, vec, config.operator, config.defuzz, config.use_weights,
-            config.fmf_variant, graph=graph,
-        )
-    elif config.engine == "argumentation":
-        af = af or argumentation.build_af(kb)
-        trust_of = lambda vec: argumentation.run_argumentation(
-            kb, vec, config.semantics, config.use_strength, af,
-        ).trust
-    else:
-        raise ValueError(f"model {config.id}: unknown engine {config.engine!r}")
-    trust: dict[str, float | None] = {}
-    for f in features:
-        try:
-            trust[f.editor_id] = trust_of(f.as_dict())
-        except Exception:
-            log.exception("model %s failed for editor %s; recording NA", config.id, f.editor_id)
-            trust[f.editor_id] = None
-    return trust
+    """Per-editor trust values of one model: the matrix plan over that model
+    alone.  An engine failure for an editor degrades to NA for that editor
+    and the run continues.  ``af`` and ``graph`` are ``kb``'s framework and
+    contradiction graph, built here when not given.  An unknown engine
+    raises ``ValueError`` before any editor is evaluated."""
+    structures = {config.kb_id: _kb_structures(kb, {config.engine}, af, graph)}
+    return _evaluate([config], structures, features)[config.id]
 
 
-def _run_shard(args) -> dict[str, dict[str, float | None]]:
-    """Every selected model over one contiguous chunk of editors.  Each KB's
-    argumentation framework and contradiction graph are built once here and
-    shared by all models over that KB."""
-    selected, kb_set, features = args
-    afs: dict[str, argumentation.ArgumentationFramework] = {}
-    graphs: dict[str, ContradictionGraph] = {}
+def _structures_for(selected: Sequence[ModelConfig],
+                    kb_set: Mapping[str, KnowledgeBase]) -> dict[str, _KbStructures]:
+    """Each used KB's contradiction graph and argumentation framework, built
+    only for the engines selected over it."""
+    engines: dict[str, set[str]] = {}
     for config in selected:
-        kb_id = config.kb_id
-        if config.engine == "argumentation":
-            if kb_id not in afs:
-                afs[kb_id] = argumentation.build_af(kb_set[kb_id])
-        elif kb_id not in graphs:
-            graphs[kb_id] = contradiction_graph(kb_set[kb_id])
-    return {
-        config.id: run_model(config, kb_set[config.kb_id], features,
-                             afs.get(config.kb_id), graphs.get(config.kb_id))
-        for config in selected
-    }
+        engines.setdefault(config.kb_id, set()).add(config.engine)
+    return {kb_id: _kb_structures(kb_set[kb_id], used) for kb_id, used in engines.items()}
+
+
+# Chunks per worker in a pooled run: enough that a worker freed early takes
+# over editors the other would otherwise run last (per-editor cost is heavy
+# tailed), few enough that task traffic stays small on large inputs.
+CHUNKS_PER_WORKER = 8
+
+_worker_plan: tuple[Sequence[ModelConfig], Mapping[str, _KbStructures]] | None = None
+
+
+def _init_worker(selected: Sequence[ModelConfig],
+                 structures: Mapping[str, _KbStructures]) -> None:
+    """Pool initializer: hold the selection and the per-KB structures once
+    per worker, so that a task carries only its editors."""
+    global _worker_plan
+    _worker_plan = (selected, structures)
+
+
+def _run_chunk(features: Sequence[EditorFeatures]) -> dict[str, dict[str, float | None]]:
+    """Pool task: every selected model over one chunk of editors."""
+    selected, structures = _worker_plan
+    return _evaluate(selected, structures, features)
+
+
+def select_models(model_filter: Iterable[str] | None = None) -> list[ModelConfig]:
+    """The registry's models named by ``model_filter`` (all when None), in
+    registry order; an unknown id raises ``KeyError``."""
+    if model_filter is None:
+        return list(MODEL_REGISTRY.values())
+    wanted = list(model_filter)
+    unknown = [m for m in wanted if m not in MODEL_REGISTRY]
+    if unknown:
+        raise KeyError(f"unknown model id(s): {', '.join(unknown)}")
+    chosen = set(wanted)
+    return [config for mid, config in MODEL_REGISTRY.items() if mid in chosen]
 
 
 def run_matrix(
@@ -234,25 +327,26 @@ def run_matrix(
 ) -> list[tuple[ModelConfig, MetricTriple]]:
     """Run the selected models over all editors and compute their metrics.
 
-    ``jobs > 1`` splits the editors into that many contiguous shards (at most
-    one per editor), each run by a worker process over every selected model.
-    The output, including its registry order, does not depend on ``jobs``.
+    Editors are evaluated one at a time, each distinct stage once and shared
+    by the models that agree on it.  Each used KB's contradiction graph and
+    argumentation framework are built once per run.  ``jobs > 1`` starts
+    that many worker processes (at most one per editor); they take
+    contiguous chunks of editors, about ``CHUNKS_PER_WORKER`` each, as they
+    become free, and run every selected model over them.  The output,
+    including its registry order, depends on neither ``jobs`` nor which
+    other models are selected.  One WARNING lists the models whose rank or
+    spread is undefined.
     """
-    if model_filter is None:
-        selected = list(MODEL_REGISTRY.values())
-    else:
-        wanted = list(model_filter)
-        unknown = [m for m in wanted if m not in MODEL_REGISTRY]
-        if unknown:
-            raise KeyError(f"unknown model id(s): {', '.join(unknown)}")
-        selected = [MODEL_REGISTRY[m] for m in MODEL_REGISTRY if m in set(wanted)]
-    kbs = {config.kb_id: kb_set[config.kb_id] for config in selected}
+    selected = select_models(model_filter)
+    structures = _structures_for(selected, kb_set)
     n = len(features)
-    shards = min(jobs, n)
-    if shards > 1 and selected:
-        chunks = [features[i * n // shards:(i + 1) * n // shards] for i in range(shards)]
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(_run_shard, [(selected, kbs, c) for c in chunks]))
+    workers = min(jobs, n)
+    if workers > 1 and selected:
+        size = max(1, n // (workers * CHUNKS_PER_WORKER))
+        chunks = [features[i:i + size] for i in range(0, n, size)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(selected, structures)) as pool:
+            parts = list(pool.map(_run_chunk, chunks))
         # merging in chunk order keeps every trust dict in input editor
         # order, the order in which spread() sums
         trust_by_model = {config.id: {} for config in selected}
@@ -260,11 +354,19 @@ def run_matrix(
             for mid, trust in part.items():
                 trust_by_model[mid].update(trust)
     else:
-        trust_by_model = _run_shard((selected, kbs, features))
-    return [
+        trust_by_model = _evaluate(selected, structures, features)
+    results = [
         (config, metric_triple(trust_by_model[config.id], barnstars))
         for config in selected
     ]
+    no_rank = [c.id for c, t in results if t.rank_of_barnstars is None]
+    no_spread = [c.id for c, t in results if t.spread is None]
+    if no_rank or no_spread:
+        log.warning("metrics undefined: rank of barnstars (no ranked award holder, or "
+                    "no other ranked editor) for %s; spread (no award holder with a "
+                    "trust value) for %s", ", ".join(no_rank) or "no model",
+                    ", ".join(no_spread) or "no model")
+    return results
 
 
 def _fmt_metric(v: float | None) -> str:

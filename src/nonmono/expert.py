@@ -39,13 +39,6 @@ class ActivatedRule:
     weight: int
 
 
-@dataclass(frozen=True)
-class ExpertOutcome:
-    trust: float | None
-    surviving: tuple[ActivatedRule, ...]
-    discarded: tuple[tuple[str, str], ...]  # (rule_label, by contradiction)
-
-
 def evaluate_antecedent(antecedent: Dnf, features, kb: KnowledgeBase) -> Activation | None:
     """Crisp DNF activation with the activation value and its range.
 
@@ -211,13 +204,12 @@ def aggregate(surviving, heuristic: str) -> float | None:
     return _mean(means)
 
 
-def run_expert(kb: KnowledgeBase, features, heuristic: str,
-               graph: ContradictionGraph | None = None) -> ExpertOutcome:
+def surviving_rules(
+    kb: KnowledgeBase, features, graph: ContradictionGraph | None = None,
+) -> tuple[tuple[ActivatedRule, ...], tuple[tuple[str, str], ...]]:
+    """Activation and retraction, the heuristic-independent part of a run:
+    the surviving rules in knowledge-base order and the retractions."""
     activated = activate_rules(kb, features)
     surviving, discarded = resolve_contradictions(kb, activated, features, graph)
-    ordered = tuple(surviving[label] for label in kb.rules if label in surviving)
-    return ExpertOutcome(
-        trust=aggregate(ordered, heuristic),
-        surviving=ordered,
-        discarded=discarded,
-    )
+    return tuple(surviving[label] for label in kb.rules if label in surviving), discarded
+

@@ -9,9 +9,9 @@ disjunctively, defuzzify the clipped level curves.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable
 
 from .kb.model import (
@@ -19,6 +19,7 @@ from .kb.model import (
     ContradictionGraph,
     Dnf,
     Fmf,
+    KbValidationError,
     KnowledgeBase,
     RuleRef,
     contradiction_graph,
@@ -151,10 +152,29 @@ _GRID = tuple(i / (DEFAULT_RESOLUTION - 1) for i in range(DEFAULT_RESOLUTION))
 
 
 @lru_cache(maxsize=128)
-def _level_curve(fmf: Fmf) -> tuple[float, ...]:
-    """Membership of every grid point in one level function.  Keyed by the
-    function's value, so equal functions of different KBs share a curve."""
-    return tuple(map(fmf, _GRID))
+def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """Membership of every grid point in one level function, with the part
+    before its first maximum and the rest reversed, both ascending.  Keyed
+    by the function's value, so equal functions of different KBs share a
+    curve.  Clipping by bisection needs a unimodal curve, which every fmf
+    shape gives; a curve that is not raises ``KbValidationError``."""
+    curve = tuple(map(fmf, _GRID))
+    peak = curve.index(max(curve))
+    left, rrev = curve[:peak], curve[peak:][::-1]
+    if any(b < a for a, b in zip(left, curve[1:peak + 1])) or any(
+            b < a for a, b in zip(rrev, rrev[1:])):
+        raise KbValidationError(f"level function {fmf!r} is not unimodal on the grid")
+    return curve, left, rrev
+
+
+def _clip(fmf: Fmf, truth: float) -> tuple[float, ...]:
+    """``min(truth, c)`` at every point ``c`` of the level curve.  ``min``
+    keeps ``truth`` exactly where ``c >= truth``, which on a unimodal curve
+    is the run ``[a, b)`` that bisecting its two ascending halves finds."""
+    curve, left, rrev = _level_curve(fmf)
+    a = bisect_left(left, truth)
+    b = len(curve) - bisect_left(rrev, truth)
+    return curve[:a] + (truth,) * (b - a) + curve[b:]
 
 
 def aggregate_levels(
@@ -168,14 +188,8 @@ def aggregate_levels(
     for label, nec in necessities.items():
         level = kb.rules[label].consequent_level
         truths[level] = max(truths[level], nec)
-    clipped = [
-        map(min, repeat(truths[level]), _level_curve(tl.fmf(variant)))
-        for level, tl in kb.trust_levels.items()
-    ]
-    if len(clipped) == 1:  # max() of one argument would iterate it
-        mu = tuple(clipped[0])
-    else:
-        mu = tuple(map(max, *clipped))
+    clipped = [_clip(tl.fmf(variant), truths[level]) for level, tl in kb.trust_levels.items()]
+    mu = clipped[0] if len(clipped) == 1 else tuple(map(max, *clipped))
     return AggregatedFuzzySet(level_truths=truths, xs=_GRID, mu=mu)
 
 
@@ -194,20 +208,17 @@ def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
     raise ValueError(f"unknown defuzzification method {method!r}")
 
 
-def run_fuzzy(
-    kb: KnowledgeBase,
-    features,
-    operator: str,
-    defuzz: str,
-    use_weights: bool,
-    variant: str = "triangular",
-    graph: ContradictionGraph | None = None,
-) -> float | None:
+def resolved_necessities(kb: KnowledgeBase, grades, operator: str,
+                         graph: ContradictionGraph | None = None) -> dict[str, float]:
+    """Rule necessities under ``operator`` after the possibilistic layer."""
     ops = OPERATORS[operator]
-    grades = fuzzify(features, kb, variant)
-    necs = initial_necessities(kb, grades, ops)
-    necs = resolve_possibility(kb, necs, grades, ops, graph)
+    return resolve_possibility(kb, initial_necessities(kb, grades, ops), grades, ops, graph)
+
+
+def weighted_levels(kb: KnowledgeBase, necessities: dict[str, float], use_weights: bool,
+                    variant: str) -> AggregatedFuzzySet:
+    """Aggregated level curve, from weighted necessities when ``use_weights``."""
     if use_weights:
-        necs = apply_rule_weights(necs, kb)
-    agg = aggregate_levels(necs, kb, variant)
-    return defuzzify(agg, defuzz)
+        necessities = apply_rule_weights(necessities, kb)
+    return aggregate_levels(necessities, kb, variant)
+

@@ -386,16 +386,15 @@ def _feature_row(row: list[str]) -> EditorFeatures:
     """One features-file row.  Every value must be finite, counts
     non-negative integers, ``bytes`` an integer, ratios in [0, 1] and
     ``anonymous`` 0 or 1; the first violation raises ``ValueError``."""
-    if len(row) < len(FEATURE_COLUMNS):
+    if len(row) != len(FEATURE_COLUMNS):
         raise ValueError(f"{len(row)} columns, expected {len(FEATURE_COLUMNS)}")
-    values: dict[str, float] = {}
+    values: dict[str, int | float] = {}
     for name, text in zip(FEATURE_COLUMNS[1:], row[1:]):
-        x = float(text)
+        values[name] = x = _parse_number(name, text)
         if not math.isfinite(x):
             raise ValueError(f"{name} {text!r} is not finite")
-        values[name] = x
     for name in _INTEGER_COLUMNS:
-        if not values[name].is_integer():
+        if isinstance(values[name], float) and not values[name].is_integer():
             raise ValueError(f"{name} {values[name]!r} is not an integer")
     for name in ("pages", "activity"):
         if values[name] < 0:
@@ -408,6 +407,19 @@ def _feature_row(row: list[str]) -> EditorFeatures:
     return EditorFeatures(editor_id=row[0], **{
         name: int(x) if name in _INTEGER_COLUMNS else x for name, x in values.items()
     })
+
+
+def _parse_number(name: str, text: str) -> int | float:
+    """The value as a float, except that a finite integer literal in an
+    integer column parses with ``int``, exactly where ``float`` would round
+    beyond 2**53."""
+    x = float(text)
+    if name in _INTEGER_COLUMNS and math.isfinite(x):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return x
 
 
 def read_barnstars(path: str) -> set[str]:

@@ -210,7 +210,7 @@ def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):
         bare = KnowledgeBase(kb.id, kb.features, kb.trust_levels, kb.rules, {})
         af = arg.build_af(bare)
         for fv in feature_vectors.values():
-            h3 = expert.run_expert(bare, fv, "h3").trust
+            h3 = expert.aggregate(expert.surviving_rules(bare, fv)[0], "h3")
             for semantics in ("grounded", "preferred", "categoriser", "stable"):
                 out = arg.run_argumentation(bare, fv, semantics, False, af).trust
                 assert out == pytest.approx(h3, abs=1e-12)
@@ -224,7 +224,7 @@ def test_grounded_in_forecast_vs_expert_survivors(kb1, kb2, feature_vectors):
     for kb, exact in ((kb1, True), (kb2, False)):
         af = arg.build_af(kb)
         for fv in feature_vectors.values():
-            survivors = {r.rule_label for r in expert.run_expert(kb, fv, "h3").surviving}
+            survivors = {r.rule_label for r in expert.surviving_rules(kb, fv)[0]}
             sub = arg.elicit_subaf(af, fv, kb)
             lab = arg.grounded(sub)
             in_forecast = {a for a in lab.in_set() if sub.arguments[a].kind == "forecast"}

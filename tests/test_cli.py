@@ -38,6 +38,18 @@ def test_extract_missing_file(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("extra", [["--wiki-start", "2021-01-15T00:00:00Z"],
+                                   ["--wiki-start", "2022-01-01T00:00:00Z"],
+                                   ["--window-days", "0"]])
+def test_extract_bad_dates_or_window_exit_1(fixture_dump_path, tmp_path, capsys, extra):
+    out = tmp_path / "o.csv"
+    rc = main(["extract", "--dump", str(fixture_dump_path), "--out", str(out),
+               "--dump-date", "2021-01-15T00:00:00Z", *extra])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --")
+    assert not out.exists()
+
+
 def test_infer_kb1_model_has_no_empty_trust(features_csv, tmp_path):
     out = tmp_path / "trust.csv"
     rc = main(["infer", "--model", "E3", "--features", str(features_csv),
@@ -200,6 +212,38 @@ def test_run_matrix_rejects_bad_feature_row(barnstars_path, tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_run_matrix_header_only_features_exit_1(barnstars_path, tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text(",".join(FEATURE_COLUMNS) + "\n")
+    rc = main(["run-matrix", "--features", str(features), "--barnstars", str(barnstars_path),
+               "--out", str(tmp_path / "results.csv"), "--jobs", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {features}: no editors\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_bad_arguments_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_run_matrix_internal_error_exits_2(features_csv, barnstars_path, tmp_path, monkeypatch,
+                                           capsys):
+    from nonmono import evaluation
+
+    def broken(trust, barnstars):
+        raise ValueError("metric bug")
+
+    monkeypatch.setattr(evaluation, "metric_triple", broken)
+    rc = main(["run-matrix", "--features", str(features_csv), "--barnstars",
+               str(barnstars_path), "--out", str(tmp_path / "r.csv"), "--models", "E1",
+               "--jobs", "1"])
+    assert rc == 2
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_run_matrix_unknown_model_id_exits_1(features_csv, barnstars_path, tmp_path, capsys):
+    rc = main(["run-matrix", "--features", str(features_csv), "--barnstars",
+               str(barnstars_path), "--out", str(tmp_path / "r.csv"), "--models", "E1,E99"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown model id(s): E99\n"

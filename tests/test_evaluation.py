@@ -150,7 +150,7 @@ def test_run_matrix_single_model_oracle(kb1, kb2, fixture_features, barnstars):
     config, triple = rows[0]
     assert config.id == "E3"
     trust = {
-        f.editor_id: expert.run_expert(kb1, f.as_dict(), "h3").trust
+        f.editor_id: expert.aggregate(expert.surviving_rules(kb1, f.as_dict())[0], "h3")
         for f in fixture_features
     }
     direct = metric_triple(trust, barnstars)
@@ -176,14 +176,14 @@ def test_run_matrix_unknown_model(kb1, kb2, fixture_features, barnstars):
 def test_engine_error_degrades_to_na(kb1, fixture_features, monkeypatch):
     target = fixture_features[0].editor_id
 
-    real = expert.run_expert
+    real = expert.activate_rules
 
-    def flaky(kb, features, heuristic, graph=None):
+    def flaky(kb, features):
         if features == fixture_features[0].as_dict():
             raise RuntimeError("boom")
-        return real(kb, features, heuristic, graph)
+        return real(kb, features)
 
-    monkeypatch.setattr(expert, "run_expert", flaky)
+    monkeypatch.setattr(expert, "activate_rules", flaky)
     trust = run_model(MODEL_REGISTRY["E1"], kb1, fixture_features)
     assert trust[target] is None
     assert sum(1 for v in trust.values() if v is not None) == len(fixture_features) - 1
@@ -217,9 +217,119 @@ def test_run_matrix_independent_of_jobs(kb1, kb2, fixture_features, barnstars):
     assert run_matrix(kb_set, three, stars, jobs=4) == run_matrix(kb_set, three, stars, jobs=1)
 
 
+def test_pooled_chunks_keep_editor_order(kb1, kb2, monkeypatch):
+    # 37 editors at jobs 2 go out as 19 chunks (18 of 2 editors, the last of
+    # 1) to whichever worker is free; the merge must restore input order
+    rng = random.Random(7101)
+    editors = []
+    for i in range(37):
+        activity = rng.randint(1, 500)
+        editors.append(make_features(
+            f"u{i}", anonymous=int(rng.random() < 0.3), pages=rng.randint(1, min(activity, 300)),
+            activity=activity, comments=rng.random(), presence=rng.random(),
+            regularity=rng.random(), bytes=rng.randint(-2000, 800000)))
+    stars = {editors[3].editor_id, editors[30].editor_id}
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    models = ["E1", "E5", "FL1", "FC13", "A1", "A10"]
+    assert len(editors) // (2 * evaluation.CHUNKS_PER_WORKER) == 2
+    serial = _trust_of_run(monkeypatch, kb_set, editors, stars, models, jobs=1)
+    pooled = _trust_of_run(monkeypatch, kb_set, editors, stars, models, jobs=2)
+    assert pooled == serial
+    order = [f.editor_id for f in editors]
+    assert all(list(trust) == order for trust in pooled.values())
+
+
 def test_run_matrix_warns_unresolved_target_once(kb1, kb2, fixture_features, barnstars, caplog):
     with caplog.at_level(logging.WARNING, logger="nonmono"):
         run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features, barnstars, jobs=1)
     unresolved = [r.getMessage() for r in caplog.records if "unresolved target" in r.getMessage()]
     # KB1's Bot.a names a rule U4 that KB1 lacks; KB2 has no unresolved target
     assert unresolved == ["contradiction Bot.a: unresolved target(s) U4; attack omitted"]
+
+
+def _trust_of_run(monkeypatch, *args, **kwargs):
+    """run_matrix's per-model trust dicts, as handed to metric_triple."""
+    captured = []
+    real = evaluation.metric_triple
+    monkeypatch.setattr(evaluation, "metric_triple",
+                        lambda trust, stars: captured.append(dict(trust)) or real(trust, stars))
+    rows = run_matrix(*args, **kwargs)
+    monkeypatch.setattr(evaluation, "metric_triple", real)
+    return {config.id: trust for (config, _t), trust in zip(rows, captured)}
+
+
+def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, monkeypatch):
+    from nonmono import argumentation, fuzzy
+
+    calls = {}
+    for module, name in ((fuzzy, "fuzzify"), (fuzzy, "resolve_possibility"),
+                         (fuzzy, "aggregate_levels"), (expert, "activate_rules"),
+                         (argumentation, "elicit_subaf")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    three = fixture_features[:3]
+    run_matrix({"KB1": kb1, "KB2": kb2}, three, barnstars, jobs=1)
+    per_editor = {name: n / len(three) for name, n in calls.items()}
+    assert per_editor == {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": 24,
+                          "activate_rules": 2, "elicit_subaf": 4}
+
+
+def test_filtered_run_equals_full_matrix(kb1, kb2, fixture_features, barnstars, monkeypatch):
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    full = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
+    for wanted in (["FL13"], ["A7"], ["FL13", "A7"]):
+        assert _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, wanted,
+                             jobs=1) == {mid: full[mid] for mid in wanted}
+    assert run_model(MODEL_REGISTRY["FL13"], kb2, fixture_features) == full["FL13"]
+
+
+def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_features, barnstars,
+                                                         monkeypatch, caplog):
+    from nonmono import argumentation, fuzzy
+
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    clean = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
+    victim = fixture_features[1]
+    real_fuzzify, real_elicit = fuzzy.fuzzify, argumentation.elicit
+
+    def fuzzify(features, kb, variant="triangular"):
+        if features == victim.as_dict() and kb is kb2 and variant == "gaussian":
+            raise RuntimeError("fuzzify boom")
+        return real_fuzzify(features, kb, variant)
+
+    def elicit(kb, features, use_strength, af=None):
+        if features == victim.as_dict() and kb is kb1 and use_strength:
+            raise RuntimeError("elicit boom")
+        return real_elicit(kb, features, use_strength, af)
+
+    monkeypatch.setattr(fuzzy, "fuzzify", fuzzify)
+    monkeypatch.setattr(argumentation, "elicit", elicit)
+    with caplog.at_level(logging.ERROR, logger="nonmono"):
+        broken = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
+    # FC13-FC24 are the gaussian KB2 models; A4-A6 the strength-filtered KB1 ones
+    sharing = [f"FC{i}" for i in range(13, 25)] + ["A4", "A5", "A6"]
+    for mid, trust in clean.items():
+        expected = dict(trust, **{victim.editor_id: None}) if mid in sharing else trust
+        assert broken[mid] == expected, mid
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert sorted(errors) == sorted(
+        f"model {mid} failed for editor {victim.editor_id}; recording NA" for mid in sharing)
+
+
+def test_undefined_metrics_warn_once_per_run(kb1, kb2, fixture_features, barnstars, caplog):
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    with caplog.at_level(logging.WARNING, logger="nonmono"):
+        assert rank_of_barnstars({"b": 0.5}, {"b"}) is None
+        assert spread({"x": 0.5}, {"b"}) is None
+        assert caplog.records == []
+        rows = run_matrix(kb_set, fixture_features, set(), ["E1", "E5", "A9"])
+    assert all(t.rank_of_barnstars is None and t.spread is None for _c, t in rows)
+    undefined = [r.getMessage() for r in caplog.records if "undefined" in r.getMessage()]
+    assert len(undefined) == 1
+    assert "E1, E5, A9; spread" in undefined[0] and undefined[0].endswith("for E1, E5, A9")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="nonmono"):
+        run_matrix(kb_set, fixture_features, barnstars, ["E1", "E5", "A9"])
+    assert [r for r in caplog.records if "undefined" in r.getMessage()] == []

@@ -58,9 +58,9 @@ def test_value_within_consequent_range(kb1, feature_vectors):
 
 def test_contradiction_discards_rule(kb1):
     fv = vec(not_minor=0.01, bytes=1000)  # NM1 and B1 both active
-    out = expert.run_expert(kb1, fv, "h3")
-    assert ("B1", "CC1") in out.discarded
-    assert all(r.rule_label != "B1" for r in out.surviving)
+    surviving, discarded = expert.surviving_rules(kb1, fv)
+    assert ("B1", "CC1") in discarded
+    assert all(r.rule_label != "B1" for r in surviving)
 
 
 def test_no_contradictions_keeps_all(kb1):
@@ -87,10 +87,10 @@ contradiction M: rule X MUTEX rule Y
 """
     kb = parse_kb(src).kb
     fv = {"f": 0.5, "g": 0.5}
-    out = expert.run_expert(kb, fv, "h3")
-    assert out.surviving == ()
-    assert out.trust is None
-    assert {d[0] for d in out.discarded} == {"X", "Y"}
+    surviving, discarded = expert.surviving_rules(kb, fv)
+    assert surviving == ()
+    assert expert.aggregate(surviving, "h3") is None
+    assert {d[0] for d in discarded} == {"X", "Y"}
 
 
 def test_snapshot_keeps_same_layer_antecedents(kb1):
@@ -98,10 +98,10 @@ def test_snapshot_keeps_same_layer_antecedents(kb1):
     # still fires from the layer snapshot and disarms OnlyAge, so P2 survives
     fv = vec(anonymous=1, not_minor=0.6, comments=0.8, presence=0.3,
              frequency=0.1, regularity=0.1, activity=2, pages=1, bytes=50)
-    out = expert.run_expert(kb1, fv, "h3")
-    assert ("NM2", "CC28") in out.discarded
-    assert any(r.rule_label == "P2" for r in out.surviving)
-    assert all(d[1] != "OnlyAge.c" for d in out.discarded)
+    surviving, discarded = expert.surviving_rules(kb1, fv)
+    assert ("NM2", "CC28") in discarded
+    assert any(r.rule_label == "P2" for r in surviving)
+    assert all(d[1] != "OnlyAge.c" for d in discarded)
 
 
 def test_discarded_rule_cannot_fire_downstream():
@@ -118,8 +118,8 @@ contradiction A: IF f is on THEN NOT contradiction B
 contradiction B: IF rule R THEN NOT rule S
 """
     kb = parse_kb(src).kb
-    out = expert.run_expert(kb, {"f": 0.5}, "h3")
-    assert {r.rule_label for r in out.surviving} == {"R", "S"}
+    surviving, _discarded = expert.surviving_rules(kb, {"f": 0.5})
+    assert {r.rule_label for r in surviving} == {"R", "S"}
 
 
 def mk_rule(label, value, level, weight=1):
@@ -158,18 +158,19 @@ def test_aggregate_empty_is_na():
 def test_h3_equals_mean_without_contradictions(kb1, feature_vectors):
     # oracle: with no contradictions fired, h3 equals the plain mean of values
     for fv in feature_vectors.values():
-        out = expert.run_expert(kb1, fv, "h3")
-        if out.discarded:
+        surviving, discarded = expert.surviving_rules(kb1, fv)
+        if discarded:
             continue
-        values = [r.value for r in out.surviving]
-        assert out.trust == pytest.approx(sum(values) / len(values))
+        values = [r.value for r in surviving]
+        assert expert.aggregate(surviving, "h3") == pytest.approx(sum(values) / len(values))
 
 
 def test_trust_always_in_unit_interval(kb1, kb2, feature_vectors):
     for kb in (kb1, kb2):
         for fv in feature_vectors.values():
+            surviving, _discarded = expert.surviving_rules(kb, fv)
             for h in expert.HEURISTICS:
-                trust = expert.run_expert(kb, fv, h).trust
+                trust = expert.aggregate(surviving, h)
                 assert trust is None or 0.0 <= trust <= 1.0
 
 
@@ -181,10 +182,10 @@ def test_layer_order_independence(kb1, feature_vectors):
 
     rng = random.Random(7)
     for fv in feature_vectors.values():
-        base = expert.run_expert(kb1, fv, "h3")
+        base, _discarded = expert.surviving_rules(kb1, fv)
         items = list(kb1.contradictions.items())
         rng.shuffle(items)
         shuffled = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels,
                                  kb1.rules, dict(items))
-        out = expert.run_expert(shuffled, fv, "h3")
-        assert {r.rule_label for r in out.surviving} == {r.rule_label for r in base.surviving}
+        out, _discarded = expert.surviving_rules(shuffled, fv)
+        assert {r.rule_label for r in out} == {r.rule_label for r in base}

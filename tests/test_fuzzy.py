@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from nonmono import fuzzy
 from nonmono.kb import parse_kb
+from nonmono.kb.model import KbValidationError
 
 unit = st.floats(0.0, 1.0)
 
@@ -190,9 +191,15 @@ def _grid_walk(necessities, kb, variant, resolution=fuzzy.DEFAULT_RESOLUTION):
 def test_aggregate_levels_equals_grid_walk(request, kb_name, variant):
     kb = request.getfixturevalue(kb_name)
     rng = random.Random(f"{kb_name}-{variant}")
+    # the curves' own grid values put a truth exactly on a curve point, a
+    # plateau or a peak, where clipping switches between truth and curve
+    grid_values = sorted({m for tl in kb.trust_levels.values()
+                          for m in map(tl.fmf(variant), fuzzy._GRID)})
     draws = [lambda: 0.0, lambda: 1.0, rng.random,
-             lambda: rng.choice((0.0, 1.0, rng.random()))]
-    for trial in range(16):
+             lambda: rng.choice((0.0, 1.0, rng.random())),
+             lambda: rng.choice(grid_values), lambda: grid_values[-1],
+             lambda: rng.choice(grid_values[-3:])]
+    for trial in range(28):
         draw = draws[trial % len(draws)]
         necs = {label: draw() for label in kb.rules}
         agg = fuzzy.aggregate_levels(necs, kb, variant)
@@ -202,6 +209,18 @@ def test_aggregate_levels_equals_grid_walk(request, kb_name, variant):
         assert agg.mu == walk.mu
         for method in ("centroid", "mean_of_max"):
             assert fuzzy.defuzzify(agg, method) == fuzzy.defuzzify(walk, method)
+
+
+def test_level_curve_must_be_unimodal():
+    with pytest.raises(KbValidationError, match="not unimodal"):
+        fuzzy._level_curve(lambda x: 1.0 if 0.2 <= x <= 0.3 or 0.6 <= x <= 0.7 else 0.0)
+    def plateau(x):
+        return min(1.0, 4 * x, 4 - 4 * x)
+
+    curve, left, rrev = fuzzy._level_curve(plateau)
+    assert len(left) + len(rrev) == len(curve) == fuzzy.DEFAULT_RESOLUTION
+    for truth in (0.0, 0.5, 1.0, 1.5):
+        assert fuzzy._clip(plateau, truth) == tuple(min(truth, m) for m in curve)
 
 
 def test_centroid_symmetry(kb1):
@@ -240,7 +259,7 @@ def test_centroid_converges_with_resolution(kb1, feature_vectors):
     grades = fuzzy.fuzzify(fv, kb1)
     necs = fuzzy.resolve_possibility(kb1, fuzzy.initial_necessities(kb1, grades, ops),
                                      grades, ops)
-    coarse = fuzzy.run_fuzzy(kb1, fv, "zadeh", "centroid", False)
+    coarse = fuzzy.defuzzify(fuzzy.aggregate_levels(necs, kb1), "centroid")
     fine = fuzzy.defuzzify(_grid_walk(necs, kb1, "triangular", 2002), "centroid")
     assert abs(coarse - fine) <= 2 / 1001
 
@@ -248,9 +267,12 @@ def test_centroid_converges_with_resolution(kb1, feature_vectors):
 def test_output_in_unit_interval(kb1, kb2, feature_vectors):
     for kb in (kb1, kb2):
         for fv in feature_vectors.values():
+            grades = fuzzy.fuzzify(fv, kb, "gaussian")
             for op in fuzzy.OPERATORS:
+                necs = fuzzy.resolved_necessities(kb, grades, op)
+                agg = fuzzy.weighted_levels(kb, necs, True, "gaussian")
                 for method in ("centroid", "mean_of_max"):
-                    out = fuzzy.run_fuzzy(kb, fv, op, method, True, "gaussian")
+                    out = fuzzy.defuzzify(agg, method)
                     assert out is None or 0.0 <= out <= 1.0
 
 

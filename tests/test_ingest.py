@@ -7,6 +7,7 @@ import pytest
 from nonmono.ingest import (
     FEATURE_COLUMNS,
     DumpParseError,
+    EditorFeatures,
     RevisionRecord,
     accumulate,
     extract_features,
@@ -158,6 +159,33 @@ def test_features_csv_round_trip(fixture_features, tmp_path):
         assert a.anonymous == b.anonymous and a.pages == b.pages
         assert a.bytes == b.bytes
         assert a.presence == pytest.approx(b.presence, abs=1e-9)
+
+
+def test_features_csv_integer_columns_exact_beyond_2_53(tmp_path):
+    big = 2 ** 53 + 1  # float() would read it back as 2**53
+    editor = EditorFeatures(editor_id="big", anonymous=0, pages=big, activity=big,
+                            not_minor=0.5, comments=0.5, presence=0.5, frequency=0.5,
+                            regularity=0.5, bytes=-big)
+    path = tmp_path / "features.csv"
+    write_features_csv([editor], str(path))
+    assert read_features_csv(str(path)) == [editor]
+    path.write_text(",".join(FEATURE_COLUMNS) + "\n" + "x,1.0,3.0,5,0.5,0.5,0.5,0.5,0.5,-2e1\n")
+    back = read_features_csv(str(path))[0]
+    assert (back.anonymous, back.pages, back.activity, back.bytes) == (1, 3, 5, -20)
+    assert all(type(v) is int for v in (back.anonymous, back.pages, back.activity, back.bytes))
+    # an integer literal beyond the float range is still rejected as not finite
+    path.write_text(",".join(FEATURE_COLUMNS) + "\n" + "x,0,3,5,0.5,0.5,0.5,0.5,0.5,1" + "0" * 400)
+    with pytest.raises(ValueError, match="line 2: .*bytes .* is not finite"):
+        read_features_csv(str(path))
+
+
+@pytest.mark.parametrize("row, count", [("x,0,3,5,0.5,0.5,0.5,0.5,0.5,-20,999", 11),
+                                        ("x,0,3,5,0.5,0.5,0.5,0.5,0.5", 9)])
+def test_features_csv_rejects_wrong_column_count(tmp_path, row, count):
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(FEATURE_COLUMNS) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"line 2: .*{count} columns, expected 10"):
+        read_features_csv(str(path))
 
 
 def test_features_csv_rejects_bad_header(tmp_path):
