@@ -132,7 +132,7 @@ def elicit_subaf(af: ArgumentationFramework, features, kb: KnowledgeBase,
         if use_strength and active[src].strength < active[tgt].strength:
             continue
         attacks.append((src, tgt))
-        kinds[(src, tgt)] = af.attack_kinds.get((src, tgt), "undermining")
+        kinds[(src, tgt)] = af.attack_kinds[(src, tgt)]
     return ArgumentationFramework(active, tuple(attacks), kinds)
 
 
@@ -360,16 +360,11 @@ class ArgumentationOutcome:
         return trace
 
 
-def elicit(
-    kb: KnowledgeBase,
-    features,
-    use_strength: bool,
-    af: ArgumentationFramework | None = None,
-) -> tuple[ArgumentationFramework, dict[str, float]]:
+def elicit(kb: KnowledgeBase, features,
+           use_strength: bool) -> tuple[ArgumentationFramework, dict[str, float]]:
     """The semantics-independent part of a run: the editor's sub-framework
     and the values of its forecast arguments."""
-    af = af or build_af(kb)
-    subaf = elicit_subaf(af, features, kb, use_strength)
+    subaf = elicit_subaf(kb.framework, features, kb, use_strength)
     values = {
         a: argument_value(kb, arg, features)
         for a, arg in subaf.arguments.items()
@@ -397,13 +392,8 @@ def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
     return ArgumentationOutcome(trust, subaf, values, labellings=labellings)
 
 
-def run_argumentation(
-    kb: KnowledgeBase,
-    features,
-    semantics: str,
-    use_strength: bool,
-    af: ArgumentationFramework | None = None,
-) -> ArgumentationOutcome:
+def run_argumentation(kb: KnowledgeBase, features, semantics: str,
+                      use_strength: bool) -> ArgumentationOutcome:
     """Full per-editor pipeline: elicit, label, accrue."""
-    subaf, values = elicit(kb, features, use_strength, af)
+    subaf, values = elicit(kb, features, use_strength)
     return label_and_accrue(subaf, values, semantics, use_strength)

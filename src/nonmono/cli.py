@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-from datetime import timezone
 from pathlib import Path
 
 from . import argumentation, evaluation, plots
@@ -51,17 +50,12 @@ def _as_user_error(fn, *args, errors=_INPUT_ERRORS):
         raise UserError(e.args[0] if isinstance(e, KeyError) else str(e)) from None
 
 
-def _parse_date(text: str):
-    ts = parse_timestamp(text)
-    return ts.astimezone(timezone.utc)
-
-
 def cmd_extract(args) -> int:
     dump = Path(args.dump)
     if not dump.is_file():
         raise UserError(f"dump file not found: {dump}")
-    dump_instant = _as_user_error(_parse_date, args.dump_date)
-    wiki_start = (_as_user_error(_parse_date, args.wiki_start) if args.wiki_start
+    dump_instant = _as_user_error(parse_timestamp, args.dump_date)
+    wiki_start = (_as_user_error(parse_timestamp, args.wiki_start) if args.wiki_start
                   else WIKI_START_DEFAULT)
     if dump_instant <= wiki_start:
         raise UserError(f"--dump-date {dump_instant.isoformat()} is not after the wiki "
@@ -94,7 +88,7 @@ def cmd_infer(args) -> int:
         raise UserError(f"unknown model id {args.model!r}")
     kb = _load_kb_for_model(config, args.kb)
     features = _as_user_error(read_features_csv, args.features)
-    explain_target = af = None
+    explain_target = None
     if args.explain is not None:
         if config.engine != "argumentation":
             raise UserError("--explain is only available for argumentation models (A*)")
@@ -102,12 +96,11 @@ def cmd_infer(args) -> int:
         if not match:
             raise UserError(f"editor {args.explain!r} not present in {args.features}")
         explain_target = match[0]
-        af = argumentation.build_af(kb)
-    trust = evaluation.run_model(config, kb, features, af=af)
+    trust = evaluation.run_model(config, kb, features)
     _as_user_error(evaluation.write_trust_csv, trust, config.id, args.out, errors=OSError)
     if explain_target is not None:
         outcome = argumentation.run_argumentation(kb, explain_target.as_dict(),
-                                                  config.semantics, config.use_strength, af)
+                                                  config.semantics, config.use_strength)
         print(json.dumps({"editor_id": args.explain, "model_id": config.id, **outcome.trace()},
                          indent=2, sort_keys=False))
     assigned = sum(1 for v in trust.values() if v is not None)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import argumentation, expert, fuzzy
 from .ingest import EditorFeatures
-from .kb.model import ContradictionGraph, KnowledgeBase, contradiction_graph
+from .kb.model import KnowledgeBase
 
 log = logging.getLogger(__name__)
 
@@ -166,27 +166,6 @@ def baseline_feature_average(features: Sequence[EditorFeatures]) -> dict[str, fl
     return out
 
 
-@dataclass(frozen=True)
-class _KbStructures:
-    """One knowledge base with the structures its selected engines read."""
-
-    kb: KnowledgeBase
-    graph: ContradictionGraph | None
-    af: argumentation.ArgumentationFramework | None
-
-
-def _kb_structures(kb: KnowledgeBase, engines: set[str],
-                   af: argumentation.ArgumentationFramework | None = None,
-                   graph: ContradictionGraph | None = None) -> _KbStructures:
-    """Build the contradiction graph (expert, fuzzy) and the argumentation
-    framework (argumentation) that ``engines`` need and were not given."""
-    if graph is None and not engines.isdisjoint(("expert", "fuzzy")):
-        graph = contradiction_graph(kb)
-    if af is None and "argumentation" in engines:
-        af = argumentation.build_af(kb)
-    return _KbStructures(kb, graph, af)
-
-
 # Each engine's per-editor pipeline as a chain of stages.  A stage reads the
 # model fields it names and the previous stage's result.  Its sharing key is
 # the engine plus every field named up to and including it, so the models
@@ -194,28 +173,28 @@ def _kb_structures(kb: KnowledgeBase, engines: set[str],
 # models fuzzify 4 times, resolve 12 times and aggregate 24 times.
 _STAGES = {
     "expert": (
-        (("kb_id",), lambda s, _c, vec, _prev: expert.surviving_rules(s.kb, vec, s.graph)[0]),
-        (("heuristic",), lambda _s, c, _vec, rules: expert.aggregate(rules, c.heuristic)),
+        (("kb_id",), lambda kb, _c, vec, _prev: expert.surviving_rules(kb, vec)[0]),
+        (("heuristic",), lambda _kb, c, _vec, rules: expert.aggregate(rules, c.heuristic)),
     ),
     "fuzzy": (
         (("kb_id", "fmf_variant"),
-         lambda s, c, vec, _prev: fuzzy.fuzzify(vec, s.kb, c.fmf_variant)),
+         lambda kb, c, vec, _prev: fuzzy.fuzzify(vec, kb, c.fmf_variant)),
         (("operator",),
-         lambda s, c, _vec, grades: fuzzy.resolved_necessities(s.kb, grades, c.operator, s.graph)),
+         lambda kb, c, _vec, grades: fuzzy.resolved_necessities(kb, grades, c.operator)),
         (("use_weights",),
-         lambda s, c, _vec, necs: fuzzy.weighted_levels(s.kb, necs, c.use_weights, c.fmf_variant)),
-        (("defuzz",), lambda _s, c, _vec, agg: fuzzy.defuzzify(agg, c.defuzz)),
+         lambda kb, c, _vec, necs: fuzzy.weighted_levels(kb, necs, c.use_weights, c.fmf_variant)),
+        (("defuzz",), lambda _kb, c, _vec, agg: fuzzy.defuzzify(agg, c.defuzz)),
     ),
     "argumentation": (
         (("kb_id", "use_strength"),
-         lambda s, c, vec, _prev: argumentation.elicit(s.kb, vec, c.use_strength, s.af)),
-        (("semantics",), lambda _s, c, _vec, elicited: argumentation.label_and_accrue(
+         lambda kb, c, vec, _prev: argumentation.elicit(kb, vec, c.use_strength)),
+        (("semantics",), lambda _kb, c, _vec, elicited: argumentation.label_and_accrue(
             *elicited, c.semantics, c.use_strength).trust),
     ),
 }
 
 
-def _evaluate(selected: Sequence[ModelConfig], structures: Mapping[str, _KbStructures],
+def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase],
               features: Sequence[EditorFeatures]) -> dict[str, dict[str, float | None]]:
     """Per-editor trust of every selected model, editor by editor.
 
@@ -234,17 +213,17 @@ def _evaluate(selected: Sequence[ModelConfig], structures: Mapping[str, _KbStruc
         for fields, run in stages:
             key += tuple(getattr(config, name) for name in fields)
             keyed.append((key, run))
-        chains.append((config, structures[config.kb_id], keyed))
+        chains.append((config, kb_set[config.kb_id], keyed))
     trust: dict[str, dict[str, float | None]] = {config.id: {} for config in selected}
     for f in features:
         vec = f.as_dict()
         done: dict[tuple, object] = {}  # stage key -> result or the exception it raised
-        for config, s, keyed in chains:
+        for config, kb, keyed in chains:
             value = None
             for key, run in keyed:
                 if key not in done:
                     try:
-                        done[key] = run(s, config, vec, value)
+                        done[key] = run(kb, config, vec, value)
                     except Exception as exc:
                         done[key] = exc
                 value = done[key]
@@ -257,30 +236,13 @@ def _evaluate(selected: Sequence[ModelConfig], structures: Mapping[str, _KbStruc
     return trust
 
 
-def run_model(
-    config: ModelConfig,
-    kb: KnowledgeBase,
-    features: Sequence[EditorFeatures],
-    af: argumentation.ArgumentationFramework | None = None,
-    graph: ContradictionGraph | None = None,
-) -> dict[str, float | None]:
+def run_model(config: ModelConfig, kb: KnowledgeBase,
+              features: Sequence[EditorFeatures]) -> dict[str, float | None]:
     """Per-editor trust values of one model: the matrix plan over that model
     alone.  An engine failure for an editor degrades to NA for that editor
-    and the run continues.  ``af`` and ``graph`` are ``kb``'s framework and
-    contradiction graph, built here when not given.  An unknown engine
-    raises ``ValueError`` before any editor is evaluated."""
-    structures = {config.kb_id: _kb_structures(kb, {config.engine}, af, graph)}
-    return _evaluate([config], structures, features)[config.id]
-
-
-def _structures_for(selected: Sequence[ModelConfig],
-                    kb_set: Mapping[str, KnowledgeBase]) -> dict[str, _KbStructures]:
-    """Each used KB's contradiction graph and argumentation framework, built
-    only for the engines selected over it."""
-    engines: dict[str, set[str]] = {}
-    for config in selected:
-        engines.setdefault(config.kb_id, set()).add(config.engine)
-    return {kb_id: _kb_structures(kb_set[kb_id], used) for kb_id, used in engines.items()}
+    and the run continues.  An unknown engine raises ``ValueError`` before
+    any editor is evaluated."""
+    return _evaluate([config], {config.kb_id: kb}, features)[config.id]
 
 
 # Chunks per worker in a pooled run: enough that a worker freed early takes
@@ -288,21 +250,21 @@ def _structures_for(selected: Sequence[ModelConfig],
 # tailed), few enough that task traffic stays small on large inputs.
 CHUNKS_PER_WORKER = 8
 
-_worker_plan: tuple[Sequence[ModelConfig], Mapping[str, _KbStructures]] | None = None
+_worker_plan: tuple[Sequence[ModelConfig], Mapping[str, KnowledgeBase]] | None = None
 
 
-def _init_worker(selected: Sequence[ModelConfig],
-                 structures: Mapping[str, _KbStructures]) -> None:
-    """Pool initializer: hold the selection and the per-KB structures once
-    per worker, so that a task carries only its editors."""
+def _init_worker(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase]) -> None:
+    """Pool initializer: hold the selection and the knowledge bases, with
+    the structures they have built, once per worker, so that a task carries
+    only its editors."""
     global _worker_plan
-    _worker_plan = (selected, structures)
+    _worker_plan = (selected, kb_set)
 
 
 def _run_chunk(features: Sequence[EditorFeatures]) -> dict[str, dict[str, float | None]]:
     """Pool task: every selected model over one chunk of editors."""
-    selected, structures = _worker_plan
-    return _evaluate(selected, structures, features)
+    selected, kb_set = _worker_plan
+    return _evaluate(selected, kb_set, features)
 
 
 def select_models(model_filter: Iterable[str] | None = None) -> list[ModelConfig]:
@@ -328,24 +290,26 @@ def run_matrix(
     """Run the selected models over all editors and compute their metrics.
 
     Editors are evaluated one at a time, each distinct stage once and shared
-    by the models that agree on it.  Each used KB's contradiction graph and
-    argumentation framework are built once per run.  ``jobs > 1`` starts
-    that many worker processes (at most one per editor); they take
-    contiguous chunks of editors, about ``CHUNKS_PER_WORKER`` each, as they
-    become free, and run every selected model over them.  The output,
+    by the models that agree on it.  ``jobs > 1`` starts that many worker
+    processes (at most one per editor); they take contiguous chunks of
+    editors, about ``CHUNKS_PER_WORKER`` each, as they become free, and run
+    every selected model over them.  The KB structures the selected engines
+    read are built before the workers start, which inherit them.  The output,
     including its registry order, depends on neither ``jobs`` nor which
     other models are selected.  One WARNING lists the models whose rank or
     spread is undefined.
     """
     selected = select_models(model_filter)
-    structures = _structures_for(selected, kb_set)
     n = len(features)
     workers = min(jobs, n)
     if workers > 1 and selected:
+        for config in selected:
+            kb = kb_set[config.kb_id]
+            _ = kb.framework if config.engine == "argumentation" else kb.graph
         size = max(1, n // (workers * CHUNKS_PER_WORKER))
         chunks = [features[i:i + size] for i in range(0, n, size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(selected, structures)) as pool:
+                                 initargs=(selected, kb_set)) as pool:
             parts = list(pool.map(_run_chunk, chunks))
         # merging in chunk order keeps every trust dict in input editor
         # order, the order in which spread() sums
@@ -354,7 +318,7 @@ def run_matrix(
             for mid, trust in part.items():
                 trust_by_model[mid].update(trust)
     else:
-        trust_by_model = _evaluate(selected, structures, features)
+        trust_by_model = _evaluate(selected, kb_set, features)
     results = [
         (config, metric_triple(trust_by_model[config.id], barnstars))
         for config in selected
@@ -386,20 +350,55 @@ def write_results_csv(results: Sequence[tuple[ModelConfig, MetricTriple]],
             ]) + "\n")
 
 
+def _optional_value(name: str, text: str, low: float, high: float) -> float | None:
+    """An empty field as None, else a finite number in ``[low, high]``."""
+    if text == "":
+        return None
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} {text!r} is not finite")
+    if not low <= x <= high:
+        raise ValueError(f"{name} {text!r} is outside [{low:g}, {high:g}]")
+    return x
+
+
+def _read_rows(path: str, rows, parse, columns: tuple[str, ...], key: str) -> dict:
+    """``parse`` of each non-empty row after the header, by its first field.
+    A row with the wrong column count, a value ``parse`` rejects or a
+    repeated first field raises ``ValueError`` naming the file and line."""
+    out = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != len(columns):
+                raise ValueError(f"{len(row)} columns, expected {len(columns)}")
+            if row[0] in out:
+                raise ValueError(f"duplicate {key} {row[0]!r}")
+            out[row[0]] = parse(row)
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+    return out
+
+
+def _result_row(row: list[str]) -> tuple[str, str, float | None, float | None, float | None]:
+    mid, dataset, rank, spr, na = row
+    return (mid, dataset, _optional_value("rank", rank, 0.0, 100.0),
+            _optional_value("spread", spr, 0.0, math.inf),
+            _optional_value("na_pct", na, 0.0, 100.0))
+
+
 def read_results_csv(path: str) -> list[tuple[str, str, float | None, float | None, float | None]]:
-    rows = []
+    """Rows of a results file.  Metrics are empty or finite: rank and
+    na_pct in [0, 100], spread non-negative; a model appears once."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if tuple(header.split(",")) != RESULT_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(RESULT_COLUMNS)}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            mid, dataset, rank, spr, na = line.split(",")
-            parse = lambda s: None if s == "" else float(s)
-            rows.append((mid, dataset, parse(rank), parse(spr), parse(na)))
-    return rows
+        lines = map(str.strip, fh)
+        rows = _read_rows(path, (line.split(",") if line else [] for line in lines),
+                          _result_row, RESULT_COLUMNS, "model id")
+    return list(rows.values())
 
 
 def write_trust_csv(trust: Mapping[str, float | None], model_id: str, path: str) -> None:
@@ -412,15 +411,12 @@ def write_trust_csv(trust: Mapping[str, float | None], model_id: str, path: str)
 
 
 def read_trust_csv(path: str) -> dict[str, float | None]:
-    trust: dict[str, float | None] = {}
+    """Trust by editor.  A value is empty or a finite number in [0, 1]; an
+    editor appears once."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != TRUST_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(TRUST_COLUMNS)}")
-        for row in reader:
-            if not row:
-                continue
-            editor, _mid, value = row
-            trust[editor] = None if value == "" else float(value)
-    return trust
+        return _read_rows(path, reader, lambda row: _optional_value("trust", row[2], 0.0, 1.0),
+                          TRUST_COLUMNS, "editor id")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .kb.model import Contradiction, ContradictionGraph, Dnf, KnowledgeBase, RuleRef, contradiction_graph
+from .kb.model import Contradiction, Dnf, KnowledgeBase, RuleRef
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +132,6 @@ def resolve_contradictions(
     kb: KnowledgeBase,
     activated: dict[str, ActivatedRule],
     features,
-    graph: ContradictionGraph | None = None,
 ) -> tuple[dict[str, ActivatedRule], tuple[tuple[str, str], ...]]:
     """Retract activated rules hit by fired contradictions.
 
@@ -143,11 +142,10 @@ def resolve_contradictions(
     in an earlier layer no longer fires; a rule retracted in an earlier layer
     no longer discharges RuleRef antecedents.
     """
-    graph = graph or contradiction_graph(kb)
     surviving = dict(activated)
     alive = set(kb.contradictions)
     discarded: list[tuple[str, str]] = []
-    for layer in graph.layers:
+    for layer in kb.graph.layers:
         rules_snap = frozenset(surviving)
         alive_snap = frozenset(alive)
         fired = [
@@ -205,11 +203,11 @@ def aggregate(surviving, heuristic: str) -> float | None:
 
 
 def surviving_rules(
-    kb: KnowledgeBase, features, graph: ContradictionGraph | None = None,
+    kb: KnowledgeBase, features,
 ) -> tuple[tuple[ActivatedRule, ...], tuple[tuple[str, str], ...]]:
     """Activation and retraction, the heuristic-independent part of a run:
     the surviving rules in knowledge-base order and the retractions."""
     activated = activate_rules(kb, features)
-    surviving, discarded = resolve_contradictions(kb, activated, features, graph)
+    surviving, discarded = resolve_contradictions(kb, activated, features)
     return tuple(surviving[label] for label in kb.rules if label in surviving), discarded
 

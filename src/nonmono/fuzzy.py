@@ -16,13 +16,11 @@ from typing import Callable
 
 from .kb.model import (
     MAX_FEATURE_WEIGHT,
-    ContradictionGraph,
     Dnf,
     Fmf,
     KbValidationError,
     KnowledgeBase,
     RuleRef,
-    contradiction_graph,
 )
 
 log = logging.getLogger(__name__)
@@ -107,7 +105,6 @@ def resolve_possibility(
     necessities: dict[str, float],
     grades,
     ops: FuzzyOperatorSet,
-    graph: ContradictionGraph | None = None,
 ) -> dict[str, float]:
     """Shrink rule necessities through the contradiction precedence graph.
 
@@ -117,10 +114,9 @@ def resolve_possibility(
     grade) and apply their caps together, so cyclic or incomparable
     contradictions are solved simultaneously from that stored snapshot.
     """
-    graph = graph or contradiction_graph(kb)
     rule_nec = dict(necessities)
     contra_cap = {label: 1.0 for label in kb.contradictions}
-    for layer in graph.layers:
+    for layer in kb.graph.layers:
         snap = dict(rule_nec)
         layer_nec: dict[str, float] = {}
         for label in layer:
@@ -208,11 +204,10 @@ def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
     raise ValueError(f"unknown defuzzification method {method!r}")
 
 
-def resolved_necessities(kb: KnowledgeBase, grades, operator: str,
-                         graph: ContradictionGraph | None = None) -> dict[str, float]:
+def resolved_necessities(kb: KnowledgeBase, grades, operator: str) -> dict[str, float]:
     """Rule necessities under ``operator`` after the possibilistic layer."""
     ops = OPERATORS[operator]
-    return resolve_possibility(kb, initial_necessities(kb, grades, ops), grades, ops, graph)
+    return resolve_possibility(kb, initial_necessities(kb, grades, ops), grades, ops)
 
 
 def weighted_levels(kb: KnowledgeBase, necessities: dict[str, float], use_weights: bool,

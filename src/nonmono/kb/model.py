@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..argumentation import ArgumentationFramework
 
 __all__ = [
     "Fmf",
@@ -203,14 +208,13 @@ class Contradiction:
     unresolved: tuple[str, ...] = ()
     mutual_with: str | None = None
 
-    def features(self, kb: "KnowledgeBase") -> set[str]:
-        if isinstance(self.antecedent, RuleRef):
-            return kb.rules[self.antecedent.label].features()
-        return {f for conj in self.antecedent for (f, _t) in conj}
-
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Features, trust levels, rules and contradictions.  The structures
+    derived from them (contradiction graph, argumentation framework, rule
+    weights) are built on first use and kept with the knowledge base."""
+
     id: str
     features: dict[str, Feature]
     trust_levels: dict[str, TrustLevel]
@@ -264,10 +268,26 @@ class KnowledgeBase:
                         f"{where}: feature {fname} has no term {tlabel!r}"
                     ) from None
 
+    @cached_property
+    def graph(self) -> ContradictionGraph:
+        return contradiction_graph(self)
+
+    @cached_property
+    def framework(self) -> ArgumentationFramework:
+        from .. import argumentation  # argumentation imports this module
+
+        return argumentation.build_af(self)
+
+    @cached_property
+    def _rule_weights(self) -> dict[str, int]:
+        return {
+            label: max(self.features[f].weight for f in rule.features())
+            for label, rule in self.rules.items()
+        }
+
     def rule_weight(self, rule_label: str) -> int:
         """Weight of a rule: max weight over its antecedent's features."""
-        rule = self.rules[rule_label]
-        return max(self.features[f].weight for f in rule.features())
+        return self._rule_weights[rule_label]
 
 
 @dataclass(frozen=True)

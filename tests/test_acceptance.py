@@ -95,12 +95,11 @@ def test_criterion_5_model_registry():
 
 def test_criterion_6_cross_engine_oracle(kb1, feature_vectors):
     bare = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels, kb1.rules, {})
-    af = arg.build_af(bare)
     worst = 0.0
     for fv in feature_vectors.values():
         h3 = expert.aggregate(expert.surviving_rules(bare, fv)[0], "h3")
         for semantics in ("grounded", "preferred", "categoriser", "stable"):
-            out = arg.run_argumentation(bare, fv, semantics, False, af).trust
+            out = arg.run_argumentation(bare, fv, semantics, False).trust
             worst = max(worst, abs(out - h3))
     report(6, worst <= 1e-12,
            f"binary accrual equals expert h3 (max deviation {worst:.2e})")

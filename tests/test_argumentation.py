@@ -208,11 +208,10 @@ def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):
 
     for kb in (kb1, kb2):
         bare = KnowledgeBase(kb.id, kb.features, kb.trust_levels, kb.rules, {})
-        af = arg.build_af(bare)
         for fv in feature_vectors.values():
             h3 = expert.aggregate(expert.surviving_rules(bare, fv)[0], "h3")
             for semantics in ("grounded", "preferred", "categoriser", "stable"):
-                out = arg.run_argumentation(bare, fv, semantics, False, af).trust
+                out = arg.run_argumentation(bare, fv, semantics, False).trust
                 assert out == pytest.approx(h3, abs=1e-12)
 
 

@@ -199,6 +199,22 @@ def test_report_command(features_csv, barnstars_path, tmp_path):
     assert (tmp_path / "rep" / "rank.svg").exists()
 
 
+@pytest.mark.parametrize("command, header, row", [
+    ("evaluate", "editor_id,model_id,trust", "a,E1,nan"),
+    ("report", "model_id,dataset,rank,spread,na_pct", "E1,d,nan,inf,250"),
+])
+def test_invalid_trust_or_results_row_exits_1(barnstars_path, tmp_path, capsys, command,
+                                              header, row):
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n{row}\n")
+    out_dir = tmp_path / "rep"
+    args = (["--trust", str(path), "--barnstars", str(barnstars_path)] if command == "evaluate"
+            else ["--results", str(path), "--out-dir", str(out_dir)])
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
+    assert not out_dir.exists()
+
+
 def test_run_matrix_rejects_bad_feature_row(barnstars_path, tmp_path, capsys):
     features = tmp_path / "features.csv"
     features.write_text(",".join(FEATURE_COLUMNS) + "\n"

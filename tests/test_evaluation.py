@@ -1,9 +1,11 @@
 import logging
+import os
 import random
+from collections import Counter
 
 import pytest
 
-from nonmono import evaluation, expert
+from nonmono import argumentation, evaluation, expert
 from nonmono.evaluation import (
     MODEL_REGISTRY,
     baseline_feature_average,
@@ -15,6 +17,7 @@ from nonmono.evaluation import (
     spread,
 )
 from nonmono.ingest import EditorFeatures
+from nonmono.kb import load_builtin
 
 
 def make_features(editor_id, **kw):
@@ -239,9 +242,67 @@ def test_pooled_chunks_keep_editor_order(kb1, kb2, monkeypatch):
     assert all(list(trust) == order for trust in pooled.values())
 
 
-def test_run_matrix_warns_unresolved_target_once(kb1, kb2, fixture_features, barnstars, caplog):
+def _fresh_kbs():
+    """Newly loaded knowledge bases: the session fixtures may already hold
+    the structures built on first use."""
+    return {kb_id: load_builtin(kb_id) for kb_id in ("KB1", "KB2")}
+
+
+def _count_builds(monkeypatch, parent_only=False):
+    """Count contradiction-graph and framework builds per (structure, KB id).
+    With ``parent_only`` a build in any other process raises."""
+    from nonmono.kb import model
+
+    builds = Counter()
+    parent = os.getpid()
+
+    def counted(name, real):
+        def build(kb):
+            if parent_only and os.getpid() != parent:
+                raise RuntimeError(f"{name} of {kb.id} built in a worker")
+            builds[name, kb.id] += 1
+            return real(kb)
+        return build
+
+    monkeypatch.setattr(model, "contradiction_graph", counted("graph", model.contradiction_graph))
+    monkeypatch.setattr(argumentation, "build_af", counted("framework", argumentation.build_af))
+    return builds
+
+
+def test_each_kb_builds_its_structures_once(fixture_features, barnstars, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    kb_set = _fresh_kbs()
+    for _ in range(2):
+        run_matrix(kb_set, fixture_features, barnstars, jobs=1)
+    for mid in ("E1", "FL1", "A1"):
+        run_model(MODEL_REGISTRY[mid], kb_set["KB1"], fixture_features)
+    argumentation.run_argumentation(kb_set["KB1"], fixture_features[0].as_dict(), "grounded", False)
+    assert builds == {(name, kb_id): 1 for name in ("graph", "framework") for kb_id in kb_set}
+
+
+def test_fuzzy_and_expert_selection_builds_no_framework(fixture_features, barnstars,
+                                                        monkeypatch):
+    builds = _count_builds(monkeypatch)
+    run_matrix(_fresh_kbs(), fixture_features, barnstars, ["FL1", "E1"], jobs=1)
+    assert builds == {("graph", "KB1"): 1}
+
+
+def test_pooled_run_builds_structures_before_the_workers_start(fixture_features, barnstars,
+                                                               monkeypatch):
+    models = ["E1", "FL13", "A7"]
+    serial = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=1)
+    builds = _count_builds(monkeypatch, parent_only=True)
+    pooled = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=2)
+    # a structure built in a worker raises there, which would turn into NA
+    assert pooled == serial
+    assert builds == {("graph", "KB1"): 1, ("graph", "KB2"): 1, ("framework", "KB2"): 1}
+
+
+def test_run_matrix_warns_unresolved_target_once(fixture_features, barnstars, caplog):
+    kb_set = _fresh_kbs()
     with caplog.at_level(logging.WARNING, logger="nonmono"):
-        run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features, barnstars, jobs=1)
+        run_matrix(kb_set, fixture_features, barnstars, jobs=1)
+        run_matrix(kb_set, fixture_features, barnstars, jobs=2)
     unresolved = [r.getMessage() for r in caplog.records if "unresolved target" in r.getMessage()]
     # KB1's Bot.a names a rule U4 that KB1 lacks; KB2 has no unresolved target
     assert unresolved == ["contradiction Bot.a: unresolved target(s) U4; attack omitted"]
@@ -299,10 +360,10 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
             raise RuntimeError("fuzzify boom")
         return real_fuzzify(features, kb, variant)
 
-    def elicit(kb, features, use_strength, af=None):
+    def elicit(kb, features, use_strength):
         if features == victim.as_dict() and kb is kb1 and use_strength:
             raise RuntimeError("elicit boom")
-        return real_elicit(kb, features, use_strength, af)
+        return real_elicit(kb, features, use_strength)
 
     monkeypatch.setattr(fuzzy, "fuzzify", fuzzify)
     monkeypatch.setattr(argumentation, "elicit", elicit)
@@ -333,3 +394,39 @@ def test_undefined_metrics_warn_once_per_run(kb1, kb2, fixture_features, barnsta
     with caplog.at_level(logging.WARNING, logger="nonmono"):
         run_matrix(kb_set, fixture_features, barnstars, ["E1", "E5", "A9"])
     assert [r for r in caplog.records if "undefined" in r.getMessage()] == []
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("b,E1,0.5,3", "4 columns, expected 3"),
+    ("b,E1", "2 columns, expected 3"),
+    ("b,E1,nan", "trust 'nan' is not finite"),
+    ("b,E1,inf", "trust 'inf' is not finite"),
+    ("b,E1,7", "trust '7' is outside [0, 1]"),
+    ("b,E1,-0.1", "trust '-0.1' is outside [0, 1]"),
+    ("a,E1,0.9", "duplicate editor id 'a'"),
+])
+def test_trust_csv_rejects_invalid_row(tmp_path, row, reason):
+    path = tmp_path / "trust.csv"
+    path.write_text(f"editor_id,model_id,trust\na,E1,0.5\n\n{row}\nc,E1,\n")
+    with pytest.raises(ValueError) as err:
+        evaluation.read_trust_csv(str(path))
+    assert str(err.value) == f"{path}: line 4: {reason}"
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("E2,d,1,0.1,0,9", "6 columns, expected 5"),
+    ("E2,d,1,0.1", "4 columns, expected 5"),
+    ("E2,d,nan,0.1,0", "rank 'nan' is not finite"),
+    ("E2,d,1,inf,0", "spread 'inf' is not finite"),
+    ("E2,d,1,0.1,-inf", "na_pct '-inf' is not finite"),
+    ("E2,d,100.5,0.1,0", "rank '100.5' is outside [0, 100]"),
+    ("E2,d,1,-0.1,0", "spread '-0.1' is outside [0, inf]"),
+    ("E2,d,1,0.1,250", "na_pct '250' is outside [0, 100]"),
+    ("E1,d,1,0.1,0", "duplicate model id 'E1'"),
+])
+def test_results_csv_rejects_invalid_row(tmp_path, row, reason):
+    path = tmp_path / "results.csv"
+    path.write_text(f"model_id,dataset,rank,spread,na_pct\nE1,d,0,0.5,100\n\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        evaluation.read_results_csv(str(path))
+    assert str(err.value) == f"{path}: line 4: {reason}"
