@@ -158,67 +158,65 @@ def grounded(af: ArgumentationFramework) -> Labelling:
     return Labelling({a: labels[a] for a in af.arguments})
 
 
-def _check_labelling(labels: dict[str, str], attackers: dict[str, tuple[str, ...]]) -> bool:
-    """Both reinstatement conditions of a total labelling."""
-    for a, lab in labels.items():
-        has_in = any(labels[b] == IN for b in attackers[a])
-        all_out = all(labels[b] == OUT for b in attackers[a])
-        if lab == IN:
-            if not all_out:
-                return False
-        elif lab == OUT:
-            if not has_in:
-                return False
-        else:
-            if has_in or all_out:
-                return False
-    return True
-
-
 def complete(af: ArgumentationFramework) -> list[Labelling]:
     """All complete labellings.
 
     Every complete labelling extends the grounded one on its in/out parts,
-    so only the grounded-undec region is searched, by branching each of its
-    arguments over in/out/undec with early pruning and a final reinstatement
-    check.  Refuses frameworks whose undecided region exceeds
-    ENUMERATION_CAP arguments.
+    and it is fixed by its in-set: OUT is what the in-set attacks, UNDEC
+    the rest (Caminada 2006).  So only the conflict-free subsets of the
+    grounded-undec region are searched, by an include/exclude walk over the
+    sorted region that never takes an argument attacking itself, attacked
+    by a chosen one or attacking one.  A subset is kept when every chosen
+    argument has all its region attackers OUT and every UNDEC argument has
+    an UNDEC attacker.  Labellings come sorted by their labels over the
+    sorted region, IN before OUT before UNDEC.  Refuses frameworks whose
+    undecided region exceeds ENUMERATION_CAP arguments.
     """
-    attackers = af.attackers()
     base = grounded(af).labels
-    undec_args = sorted(a for a, l in base.items() if l == UNDEC)
-    if len(undec_args) > ENUMERATION_CAP:
+    region = sorted(a for a, l in base.items() if l == UNDEC)
+    if len(region) > ENUMERATION_CAP:
         raise FrameworkTooLargeError(
-            f"{len(undec_args)} arguments in the undecided region exceeds the "
+            f"{len(region)} arguments in the undecided region exceeds the "
             f"exact-enumeration cap of {ENUMERATION_CAP}; use grounded or "
             f"categoriser semantics"
         )
-    if not undec_args:
-        return [Labelling(base)]
-    results: list[Labelling] = []
-    assignment: dict[str, str] = {}
+    # attackers outside the region are grounded-out and decide nothing here
+    attackers = {a: set() for a in region}
+    targets = {a: set() for a in region}
+    for src, tgt in af.attacks:
+        if src in attackers and tgt in attackers:
+            attackers[tgt].add(src)
+            targets[src].add(tgt)
+    region_set = frozenset(region)
+    kept: list[tuple[tuple[int, ...], dict[str, str]]] = []
+    rank = {IN: 0, OUT: 1, UNDEC: 2}
 
-    def no_in_attacker_yet(a: str) -> bool:
-        # pruning only; unassigned attackers still read undec from the base
-        return all(assignment.get(b, base[b]) != IN for b in attackers[a])
-
-    def search(i: int):
-        if i == len(undec_args):
-            labels = dict(base)
-            labels.update(assignment)
-            if _check_labelling(labels, attackers):
-                results.append(Labelling(labels))
+    def leaf(in_set: list[str]) -> None:
+        out = set().union(*(targets[a] for a in in_set))
+        if any(not attackers[a] <= out for a in in_set):
             return
-        a = undec_args[i]
-        for lab in (IN, OUT, UNDEC):
-            if lab == IN and not no_in_attacker_yet(a):
-                continue
-            assignment[a] = lab
-            search(i + 1)
-            del assignment[a]
+        undec = region_set - out - set(in_set)
+        if any(attackers[a].isdisjoint(undec) for a in undec):
+            return
+        labels = dict(base)
+        labels.update({a: OUT for a in out})
+        labels.update({a: IN for a in in_set})
+        kept.append((tuple(rank[labels[a]] for a in region), labels))
 
-    search(0)
-    return results
+    def search(i: int, in_set: list[str], blocked: frozenset[str]) -> None:
+        if i == len(region):
+            leaf(in_set)
+            return
+        a = region[i]
+        if a not in blocked and a not in attackers[a]:
+            in_set.append(a)
+            search(i + 1, in_set, blocked | targets[a] | attackers[a])
+            in_set.pop()
+        search(i + 1, in_set, blocked)
+
+    search(0, [], frozenset())
+    kept.sort(key=lambda k: k[0])
+    return [Labelling(labels) for _key, labels in kept]
 
 
 def preferred(af: ArgumentationFramework) -> list[Labelling]:

@@ -146,6 +146,9 @@ def _write_plots(results, baseline_by_metric, out_dir: Path) -> list[Path]:
 def cmd_run_matrix(args) -> int:
     if args.jobs < 0:
         raise UserError(f"--jobs must be 0 (available parallelism) or more, not {args.jobs}")
+    if any(c in args.dataset for c in ",\r\n"):
+        # results.csv is written unquoted, so its row would not read back
+        raise UserError(f"--dataset must not contain a comma or line break: {args.dataset!r}")
     model_filter = args.models.split(",") if args.models is not None else None
     _as_user_error(evaluation.select_models, model_filter, errors=KeyError)
     features = _as_user_error(read_features_csv, args.features)

@@ -372,13 +372,19 @@ def read_features_csv(path: str) -> list[EditorFeatures]:
         if header is None or tuple(h.strip() for h in header) != FEATURE_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(FEATURE_COLUMNS)}")
         out = []
+        seen: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                out.append(_feature_row(row))
+                features = _feature_row(row)
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: bad feature row ({e})") from None
+            if features.editor_id in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate editor_id "
+                                 f"{features.editor_id!r}")
+            seen.add(features.editor_id)
+            out.append(features)
     return out
 
 

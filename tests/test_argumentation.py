@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -142,6 +144,78 @@ def test_enumeration_cap():
     af = toy_af({f"a{i}": 1 for i in range(n)}, attacks)
     with pytest.raises(arg.FrameworkTooLargeError, match="grounded or"):
         arg.preferred(af)
+
+
+def _three_way_complete(af):
+    """The earlier enumeration, kept as an order oracle: each argument of
+    the sorted grounded-undec region is branched over in/out/undec (in only
+    while no attacker is in yet) and each total labelling is checked."""
+    attackers = af.attackers()
+    base = arg.grounded(af).labels
+    region = sorted(a for a, l in base.items() if l == arg.UNDEC)
+    results = []
+    assignment = {}
+
+    def valid(labels):
+        for a, lab in labels.items():
+            has_in = any(labels[b] == arg.IN for b in attackers[a])
+            all_out = all(labels[b] == arg.OUT for b in attackers[a])
+            if lab != (arg.IN if all_out else arg.OUT if has_in else arg.UNDEC):
+                return False
+        return True
+
+    def search(i):
+        if i == len(region):
+            labels = dict(base)
+            labels.update(assignment)
+            if valid(labels):
+                results.append(arg.Labelling(labels))
+            return
+        a = region[i]
+        for lab in (arg.IN, arg.OUT, arg.UNDEC):
+            if lab == arg.IN and any(assignment.get(b, base[b]) == arg.IN
+                                     for b in attackers[a]):
+                continue
+            assignment[a] = lab
+            search(i + 1)
+            del assignment[a]
+
+    search(0)
+    return results
+
+
+def test_complete_order_matches_three_way_walk():
+    # preferred, stable and accrue_extensions read the labellings in order
+    rng = random.Random(20061)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.15, 0.25, 0.4))
+        names = [f"a{i}" for i in range(n)]
+        attacks = [(a, b) for a in names for b in names if rng.random() < p]
+        af = toy_af({a: 1 for a in names}, attacks)
+        assert arg.complete(af) == _three_way_complete(af)
+
+
+def test_complete_wide_region_order():
+    # 8 disjoint mutual attacks: a 16-argument undecided region
+    names = [f"a{i:02d}" for i in range(16)]
+    pairs = list(zip(names[::2], names[1::2]))
+    attacks = [e for a, b in pairs for e in ((a, b), (b, a))]
+    af = toy_af({a: 1 for a in names}, attacks)
+    pair_labels = ((arg.IN, arg.OUT), (arg.OUT, arg.IN), (arg.UNDEC, arg.UNDEC))
+
+    def expected(choices):
+        return [
+            {x: lab for pair, pick in zip(pairs, combo) for x, lab in zip(pair, pick)}
+            for combo in itertools.product(choices, repeat=len(pairs))
+        ]
+
+    complete = arg.complete(af)
+    assert len(complete) == 3 ** 8
+    assert [l.labels for l in complete] == expected(pair_labels)
+    preferred = arg.preferred(af)
+    assert len(preferred) == 2 ** 8
+    assert [l.labels for l in preferred] == expected(pair_labels[:2])
 
 
 def test_categoriser_values():

@@ -238,6 +238,30 @@ def test_run_matrix_header_only_features_exit_1(barnstars_path, tmp_path, capsys
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_run_matrix_duplicate_editor_exit_1(features_csv, barnstars_path, tmp_path, capsys):
+    lines = features_csv.read_text().splitlines()
+    features_csv.write_text("\n".join(lines + [lines[1]]) + "\n")
+    rc = main(["run-matrix", "--features", str(features_csv), "--barnstars",
+               str(barnstars_path), "--out", str(tmp_path / "results.csv"), "--models", "E1",
+               "--jobs", "1"])
+    assert rc == 1
+    editor = lines[1].split(",")[0]
+    assert capsys.readouterr().err == (f"error: {features_csv}: line {len(lines) + 1}: "
+                                       f"duplicate editor_id {editor!r}\n")
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("dataset", ["wiki,2021", "wiki\n2021"])
+def test_run_matrix_dataset_separator_exit_1(features_csv, barnstars_path, tmp_path, capsys,
+                                             dataset):
+    rc = main(["run-matrix", "--features", str(features_csv), "--barnstars",
+               str(barnstars_path), "--out", str(tmp_path / "results.csv"), "--models", "E1",
+               "--dataset", dataset, "--jobs", "1"])
+    assert rc == 1
+    assert "--dataset must not contain a comma or line break" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_bad_arguments_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()

@@ -188,6 +188,16 @@ def test_features_csv_rejects_wrong_column_count(tmp_path, row, count):
         read_features_csv(str(path))
 
 
+def test_features_csv_rejects_duplicate_editor_id(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(FEATURE_COLUMNS) + "\n"
+                    "x,0,3,5,0.5,0.5,0.5,0.5,0.5,20\n"
+                    "y,0,3,5,0.5,0.5,0.5,0.5,0.5,20\n"
+                    "x,1,4,6,0.5,0.5,0.5,0.5,0.5,30\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 4: duplicate editor_id 'x'$"):
+        read_features_csv(str(path))
+
+
 def test_features_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n1\n")
