@@ -74,19 +74,11 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _load_kb_for_model(config: evaluation.ModelConfig, kb_arg: str | None):
-    if kb_arg is not None and kb_arg != config.kb_id:
-        raise UserError(
-            f"model {config.id} is defined over {config.kb_id}, not {kb_arg}"
-        )
-    return load_builtin(config.kb_id)
-
-
 def cmd_infer(args) -> int:
     config = evaluation.MODEL_REGISTRY.get(args.model)
     if config is None:
         raise UserError(f"unknown model id {args.model!r}")
-    kb = _load_kb_for_model(config, args.kb)
+    kb = load_builtin(config.kb_id)
     features = _as_user_error(read_features_csv, args.features)
     explain_target = None
     if args.explain is not None:
@@ -192,13 +184,16 @@ def cmd_kb_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if (args.features is None) != (args.barnstars is None):
+        missing = "--barnstars" if args.barnstars is None else "--features"
+        raise UserError(f"the baseline needs both --features and --barnstars; {missing} is missing")
     rows = _as_user_error(evaluation.read_results_csv, args.results)
     triples = [
         (mid, evaluation.MetricTriple(rank, spr, na))
         for mid, _ds, rank, spr, na in rows
     ]
     baseline_by_metric = {}
-    if args.features and args.barnstars:
+    if args.features is not None:
         features = _as_user_error(read_features_csv, args.features)
         barnstars = _as_user_error(read_barnstars, args.barnstars)
         baseline_trust = _as_user_error(evaluation.baseline_feature_average, features)
@@ -228,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kb", default=None, choices=BUILTIN_IDS)
     p.add_argument("--explain", default=None, metavar="EDITOR_ID")
     p.set_defaults(func=cmd_infer)
 
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=None, help="comma-separated model ids")
     p.add_argument("--dataset", default="dataset")
     p.add_argument("--jobs", type=int, default=0,
-                   help="editor shards run in parallel; 0 = available parallelism")
+                   help="worker processes; 0 = available parallelism")
     p.add_argument("--plots", action="store_true")
     p.add_argument("--plot-dir", default=None)
     p.set_defaults(func=cmd_run_matrix)

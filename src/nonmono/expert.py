@@ -1,16 +1,17 @@
 """Rule-based expert system with non-monotonic retraction.
 
 Rules activate on crisp range membership, contradictions retract activated
-rules (processed in precedence layers, each layer evaluated against a
-snapshot so mutually contradicting rules knock each other out), and the
-surviving rules are valued and aggregated into one trust scalar.
+rules (processed in precedence layers, each layer deciding all its firings
+before it applies any, so mutually contradicting rules knock each other
+out), and the surviving rules are valued and aggregated into one trust
+scalar.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 
-from .kb.model import Contradiction, Dnf, KnowledgeBase, RuleRef
+from .kb.model import Dnf, KnowledgeBase
 
 log = logging.getLogger(__name__)
 
@@ -122,12 +123,6 @@ def activate_rules(kb: KnowledgeBase, features) -> dict[str, ActivatedRule]:
     return out
 
 
-def _contradiction_fires(c: Contradiction, surviving: frozenset[str], features, kb: KnowledgeBase) -> bool:
-    if isinstance(c.antecedent, RuleRef):
-        return c.antecedent.label in surviving
-    return antecedent_holds(c.antecedent, features, kb)
-
-
 def resolve_contradictions(
     kb: KnowledgeBase,
     activated: dict[str, ActivatedRule],
@@ -135,31 +130,30 @@ def resolve_contradictions(
 ) -> tuple[dict[str, ActivatedRule], tuple[tuple[str, str], ...]]:
     """Retract activated rules hit by fired contradictions.
 
-    Contradictions are processed layer by layer along the precedence graph;
-    each layer fires against a snapshot of the state at layer entry, so
-    topologically incomparable contradictions (including cyclic groups) act
-    simultaneously and cannot shadow one another.  A contradiction retracted
-    in an earlier layer no longer fires; a rule retracted in an earlier layer
-    no longer discharges RuleRef antecedents.
+    Contradictions are processed layer by layer along the precedence graph.
+    A layer decides which of its contradictions fire, from the state at layer
+    entry, before it applies any of them, so topologically incomparable
+    contradictions (including cyclic groups) act simultaneously and cannot
+    shadow one another.  A contradiction retracted in an earlier layer no
+    longer fires; a rule retracted in an earlier layer no longer discharges
+    the contradictions whose antecedent it is.
     """
     surviving = dict(activated)
-    alive = set(kb.contradictions)
+    retracted: set[str] = set()
     discarded: list[tuple[str, str]] = []
-    for layer in kb.graph.layers:
-        rules_snap = frozenset(surviving)
-        alive_snap = frozenset(alive)
+    for layer in kb.layers:
         fired = [
-            c for c in layer
-            if c in alive_snap
-            and _contradiction_fires(kb.contradictions[c], rules_snap, features, kb)
+            e for e in layer
+            if e.label not in retracted
+            and (e.rule in surviving if e.premises is None
+                 else antecedent_holds(e.premises, features, kb))
         ]
-        for label in fired:
-            for target in kb.contradictions[label].targets:
+        for e in fired:
+            for target in e.rule_targets:
                 if target in surviving:
                     del surviving[target]
-                    discarded.append((target, label))
-                elif target in alive:
-                    alive.discard(target)
+                    discarded.append((target, e.label))
+            retracted.update(e.contradiction_targets)
     return surviving, tuple(discarded)
 
 

@@ -20,7 +20,6 @@ from .kb.model import (
     Fmf,
     KbValidationError,
     KnowledgeBase,
-    RuleRef,
 )
 
 log = logging.getLogger(__name__)
@@ -108,31 +107,25 @@ def resolve_possibility(
 ) -> dict[str, float]:
     """Shrink rule necessities through the contradiction precedence graph.
 
-    Layers run root to leaf.  All contradictions of a layer take their own
-    necessity from the state at layer entry (RuleRef antecedents read the
-    referenced rule's current necessity, premise antecedents their static
-    grade) and apply their caps together, so cyclic or incomparable
-    contradictions are solved simultaneously from that stored snapshot.
+    Layers run root to leaf.  A layer first takes the necessity of each of
+    its contradictions from the state at layer entry (a rule antecedent reads
+    the rule's current necessity, premises their static grade, each capped by
+    the contradictions that attack it), then applies all their caps, so
+    cyclic or incomparable contradictions are solved simultaneously.
     """
     rule_nec = dict(necessities)
-    contra_cap = {label: 1.0 for label in kb.contradictions}
-    for layer in kb.graph.layers:
-        snap = dict(rule_nec)
-        layer_nec: dict[str, float] = {}
-        for label in layer:
-            c = kb.contradictions[label]
-            if isinstance(c.antecedent, RuleRef):
-                base = snap[c.antecedent.label]
-            else:
-                base = dnf_necessity(c.antecedent, grades, ops)
-            layer_nec[label] = min(base, contra_cap[label])
-        for label in layer:
-            q = layer_nec[label]
-            for target in kb.contradictions[label].targets:
-                if target in rule_nec:
-                    rule_nec[target] = necessity_update(rule_nec[target], (), (q,))
-                else:
-                    contra_cap[target] = min(contra_cap[target], 1.0 - q)
+    contra_cap = dict.fromkeys(kb.contradictions, 1.0)
+    for layer in kb.layers:
+        layer_nec = [
+            min(rule_nec[e.rule] if e.premises is None
+                else dnf_necessity(e.premises, grades, ops), contra_cap[e.label])
+            for e in layer
+        ]
+        for e, q in zip(layer, layer_nec):
+            for target in e.rule_targets:
+                rule_nec[target] = necessity_update(rule_nec[target], (), (q,))
+            for target in e.contradiction_targets:
+                contra_cap[target] = min(contra_cap[target], 1.0 - q)
     return rule_nec
 
 

@@ -1,6 +1,5 @@
 from .model import (
     Contradiction,
-    ContradictionGraph,
     Feature,
     Fmf,
     KbValidationError,
@@ -18,12 +17,11 @@ from .parser import (
     ParseResult,
     load_builtin,
     parse_kb,
-    serialize_kb,
 )
 
 __all__ = [
-    "Contradiction", "ContradictionGraph", "Feature", "Fmf", "KbValidationError",
+    "Contradiction", "Feature", "Fmf", "KbValidationError",
     "KnowledgeBase", "LinguisticTerm", "Premise", "Rule", "RuleRef", "TrustLevel",
     "contradiction_graph",
-    "KbParseError", "ParseDiagnostic", "ParseResult", "load_builtin", "parse_kb", "serialize_kb",
+    "KbParseError", "ParseDiagnostic", "ParseResult", "load_builtin", "parse_kb",
 ]

@@ -24,7 +24,7 @@ __all__ = [
     "RuleRef",
     "Contradiction",
     "KnowledgeBase",
-    "ContradictionGraph",
+    "LayerEntry",
     "KbValidationError",
     "contradiction_graph",
 ]
@@ -212,7 +212,7 @@ class Contradiction:
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Features, trust levels, rules and contradictions.  The structures
-    derived from them (contradiction graph, argumentation framework, rule
+    derived from them (contradiction layers, argumentation framework, rule
     weights) are built on first use and kept with the knowledge base."""
 
     id: str
@@ -269,7 +269,7 @@ class KnowledgeBase:
                     ) from None
 
     @cached_property
-    def graph(self) -> ContradictionGraph:
+    def layers(self) -> tuple[tuple[LayerEntry, ...], ...]:
         return contradiction_graph(self)
 
     @cached_property
@@ -291,28 +291,37 @@ class KnowledgeBase:
 
 
 @dataclass(frozen=True)
-class ContradictionGraph:
-    """Contradiction-on-contradiction structure of a knowledge base.
+class LayerEntry:
+    """A contradiction as the engines fire it.  Its antecedent is either the
+    label of a ``rule`` or the ``premises`` of a DNF; the other is None.  Its
+    targets are split, each in declaration order, into rules and
+    contradictions."""
 
-    ``edges[x]`` holds the contradiction labels retracted by ``x``.  ``layers``
-    are Kahn levels over the cycle condensation, root first; every node of a
-    strongly connected component shares its component's layer.  ``cyclic_groups``
-    lists the components with more than one node.
-    """
-
-    nodes: tuple[str, ...]
-    edges: dict[str, tuple[str, ...]]
-    layers: tuple[tuple[str, ...], ...]
-    cyclic_groups: tuple[frozenset[str], ...]
+    label: str
+    rule: str | None
+    premises: Dnf | None
+    rule_targets: tuple[str, ...]
+    contradiction_targets: tuple[str, ...]
 
 
-def contradiction_graph(kb: KnowledgeBase) -> ContradictionGraph:
-    nodes = sorted(kb.contradictions)
-    edges = {
-        x: tuple(sorted(t for t in kb.contradictions[x].targets if t in kb.contradictions))
-        for x in nodes
-    }
-    comp_of = _tarjan_scc(nodes, edges)
+def contradiction_graph(kb: KnowledgeBase) -> tuple[tuple[LayerEntry, ...], ...]:
+    """The contradictions in firing order: Kahn layers over the cycle
+    condensation of the contradiction-on-contradiction edges, root first.
+    Every contradiction of a strongly connected component shares its
+    component's layer, and a layer is sorted by label."""
+    entries = {}
+    for label in sorted(kb.contradictions):
+        c = kb.contradictions[label]
+        by_rule = isinstance(c.antecedent, RuleRef)
+        entries[label] = LayerEntry(
+            label=label,
+            rule=c.antecedent.label if by_rule else None,
+            premises=None if by_rule else c.antecedent,
+            rule_targets=tuple(t for t in c.targets if t not in kb.contradictions),
+            contradiction_targets=tuple(t for t in c.targets if t in kb.contradictions),
+        )
+    edges = {label: e.contradiction_targets for label, e in entries.items()}
+    comp_of = _tarjan_scc(list(entries), edges)
     comps: dict[int, list[str]] = {}
     for n, c in comp_of.items():
         comps.setdefault(c, []).append(n)
@@ -334,19 +343,10 @@ def contradiction_graph(kb: KnowledgeBase) -> ContradictionGraph:
             indegree[s] -= 1
             if indegree[s] == 0:
                 ready.append(s)
-    layers: list[list[str]] = [[] for _ in range(1 + max(depth.values(), default=0))]
-    for n in nodes:
-        layers[depth[comp_of[n]]].append(n)
-    cyclic = sorted(
-        (frozenset(m) for m in comps.values() if len(m) > 1),
-        key=lambda s: sorted(s),
-    )
-    return ContradictionGraph(
-        nodes=tuple(nodes),
-        edges=edges,
-        layers=tuple(tuple(l) for l in layers),
-        cyclic_groups=tuple(cyclic),
-    )
+    layers: list[list[LayerEntry]] = [[] for _ in range(1 + max(depth.values(), default=0))]
+    for label, entry in entries.items():
+        layers[depth[comp_of[label]]].append(entry)
+    return tuple(map(tuple, layers))
 
 
 def _tarjan_scc(nodes: list[str], edges: dict[str, tuple[str, ...]]) -> dict[str, int]:

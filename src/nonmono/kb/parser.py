@@ -1,4 +1,4 @@
-"""Parser and serializer for the line-oriented knowledge-base DSL.
+"""Parser for the line-oriented knowledge-base DSL.
 
 Grammar (one declaration per line, ``#`` starts a comment)::
 
@@ -36,7 +36,7 @@ from .model import (
     TrustLevel,
 )
 
-__all__ = ["ParseDiagnostic", "ParseResult", "KbParseError", "parse_kb", "serialize_kb", "load_builtin"]
+__all__ = ["ParseDiagnostic", "ParseResult", "KbParseError", "parse_kb", "load_builtin"]
 
 BUILTIN_IDS = ("KB1", "KB2")
 
@@ -187,8 +187,6 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                     err(idx, f"duplicate trust level {label!r}")
                 lp.expect("=")
                 lo, hi = _range(lp)
-                if lo > hi:
-                    raise _SyntaxError(idx, f"malformed range [{lo}, {hi}]")
                 fmfs = _parse_fmfs(lp) if not lp.done() else {}
                 trust_levels[label] = TrustLevel(label, lo, hi, fmfs)
             elif head == "rule":
@@ -387,65 +385,6 @@ def _parse_expr_dnf(lp: _LineParser) -> tuple:
         return dnf
 
     return or_expr()
-
-
-def serialize_kb(kb: KnowledgeBase) -> str:
-    """Emit canonical DSL text; ``parse_kb`` on it reproduces the KB."""
-    out = [f"kb {kb.id}", ""]
-    for f in kb.features.values():
-        out.append(f"feature {f.name} weight {f.weight} domain [{f.domain_min!r}, {f.domain_max!r}] {{")
-        for t in f.terms:
-            hi = "inf" if t.saturated else repr(t.upper)
-            out.append(f"    term {t.label} = [{t.lower!r}, {hi}] {_fmt_fmfs(t.fmfs)}")
-        out.append("}")
-    out.append("")
-    for tl in kb.trust_levels.values():
-        out.append(f"trustlevel {tl.label} = [{tl.lower!r}, {tl.upper!r}] {_fmt_fmfs(tl.fmfs)}")
-    out.append("")
-    for r in kb.rules.values():
-        out.append(f"rule {r.label}: IF {_fmt_dnf(r.antecedent)} THEN trust is {r.consequent_level}")
-    out.append("")
-    emitted_mutex = set()
-    for c in kb.contradictions.values():
-        if c.mutual_with is not None:
-            base = c.label.rsplit(".", 1)[0]
-            if base in emitted_mutex:
-                continue
-            emitted_mutex.add(base)
-            twin = kb.contradictions[c.mutual_with]
-            out.append(f"contradiction {base}: rule {c.antecedent.label} MUTEX rule {twin.antecedent.label}")
-            continue
-        if isinstance(c.antecedent, RuleRef):
-            ante = f"rule {c.antecedent.label}"
-        else:
-            ante = _fmt_dnf(c.antecedent)
-        all_targets = c.targets + c.unresolved
-        kind = "contradiction" if any(t in kb.contradictions for t in all_targets) else "rule"
-        out.append(
-            f"contradiction {c.label}: IF {ante} THEN NOT {kind} {', '.join(all_targets)}"
-        )
-    out.append("")
-    return "\n".join(out)
-
-
-def _fmt_fmfs(fmfs: dict[str, Fmf]) -> str:
-    specs = []
-    seen = set()
-    for fmf in fmfs.values():
-        key = (fmf.shape, fmf.params)
-        if key in seen:
-            continue
-        seen.add(key)
-        specs.append(f"{fmf.shape}({', '.join(repr(p) for p in fmf.params)})")
-    return "fmf " + " ".join(specs)
-
-
-def _fmt_dnf(dnf) -> str:
-    parts = []
-    for conj in dnf:
-        inner = " AND ".join(f"{f} is {t}" for f, t in conj)
-        parts.append(f"({inner})" if len(dnf) > 1 and len(conj) > 1 else inner)
-    return " OR ".join(parts)
 
 
 def load_builtin(kb_id: str) -> KnowledgeBase:

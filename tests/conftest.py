@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nonmono.ingest import extract_features, read_barnstars
-from nonmono.kb import load_builtin
+from nonmono.kb import load_builtin, parse_kb
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,3 +52,25 @@ def fixture_features(fixture_dump_path):
 @pytest.fixture(scope="session")
 def feature_vectors(fixture_features):
     return {f.editor_id: f.as_dict() for f in fixture_features}
+
+
+@pytest.fixture(scope="session")
+def mixed_kb():
+    """Contradiction A retracts both a rule (S) and a contradiction (B), and B
+    retracts T when R holds; neither built-in KB has such a mixed target list."""
+    src = """
+feature f weight 1 domain [0.0, 1.0] {
+    term on = [0.0, 1.0] fmf triangular(0.0, 1.0, 1.0)
+}
+feature g weight 1 domain [0.0, 1.0] {
+    term on = [0.0, 1.0] fmf triangular(0.0, 1.0, 1.0)
+}
+trustlevel low = [0.0, 0.5] fmf crisp(0.0, 0.5)
+trustlevel high = [0.5, 1.0] fmf crisp(0.5, 1.0)
+rule R: IF g is on THEN trust is low
+rule S: IF g is on THEN trust is high
+rule T: IF g is on THEN trust is high
+contradiction A: IF f is on THEN NOT rule S, B
+contradiction B: IF rule R THEN NOT rule T
+"""
+    return parse_kb(src).kb

@@ -3,6 +3,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
+from conftest import GOLDEN
 from nonmono.cli import main
 from nonmono.evaluation import MODEL_REGISTRY, read_results_csv, read_trust_csv
 from nonmono.ingest import FEATURE_COLUMNS
@@ -74,14 +75,6 @@ def test_infer_unknown_model(features_csv, tmp_path):
     rc = main(["infer", "--model", "Z9", "--features", str(features_csv),
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
-
-
-def test_infer_kb_mismatch(features_csv, tmp_path, capsys):
-    rc = main(["infer", "--model", "E3", "--kb", "KB2", "--features", str(features_csv),
-               "--out", str(tmp_path / "t.csv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "E3" in err and "KB1" in err
 
 
 def test_infer_explain(features_csv, tmp_path, capsys):
@@ -197,6 +190,19 @@ def test_report_command(features_csv, barnstars_path, tmp_path):
                "--features", str(features_csv), "--barnstars", str(barnstars_path)])
     assert rc == 0
     assert (tmp_path / "rep" / "rank.svg").exists()
+
+
+@pytest.mark.parametrize("given, missing", [("--features", "--barnstars"),
+                                             ("--barnstars", "--features")])
+def test_report_baseline_needs_both_files(tmp_path, capsys, given, missing):
+    # the named file is never opened: the missing flag is reported first
+    out_dir = tmp_path / "rep"
+    rc = main(["report", "--results", str(GOLDEN / "results_fixture.csv"),
+               "--out-dir", str(out_dir), given, str(tmp_path / "does-not-exist.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{missing} is missing" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, header, row", [

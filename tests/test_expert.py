@@ -95,7 +95,8 @@ contradiction M: rule X MUTEX rule Y
 
 def test_snapshot_keeps_same_layer_antecedents(kb1):
     # anonymous with everything low: CC28 retracts NM2 in layer 0, yet CC3
-    # still fires from the layer snapshot and disarms OnlyAge, so P2 survives
+    # still fires from the state at layer entry and disarms OnlyAge, so P2
+    # survives
     fv = vec(anonymous=1, not_minor=0.6, comments=0.8, presence=0.3,
              frequency=0.1, regularity=0.1, activity=2, pages=1, bytes=50)
     surviving, discarded = expert.surviving_rules(kb1, fv)
@@ -120,6 +121,13 @@ contradiction B: IF rule R THEN NOT rule S
     kb = parse_kb(src).kb
     surviving, _discarded = expert.surviving_rules(kb, {"f": 0.5})
     assert {r.rule_label for r in surviving} == {"R", "S"}
+
+
+def test_mixed_targets_retract_rule_and_contradiction(mixed_kb):
+    # A fires in layer 0: it retracts rule S and disarms B, so T survives
+    surviving, discarded = expert.surviving_rules(mixed_kb, {"f": 0.3, "g": 0.9})
+    assert discarded == (("S", "A"),)
+    assert [r.rule_label for r in surviving] == ["R", "T"]
 
 
 def mk_rule(label, value, level, weight=1):

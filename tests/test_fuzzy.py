@@ -102,6 +102,17 @@ def test_zero_attacker_has_no_impact(kb1):
     assert resolved["U2"] == necs["U2"]
 
 
+def test_mixed_targets_cap_rule_and_contradiction(mixed_kb):
+    # Nec(A) = 0.3 caps S and B at 0.7; B's necessity, min(Nec(R), 0.7),
+    # then caps T at 1 - 0.7
+    ops = fuzzy.OPERATORS["zadeh"]
+    grades = fuzzy.fuzzify({"f": 0.3, "g": 0.9}, mixed_kb)
+    necs = fuzzy.initial_necessities(mixed_kb, grades, ops)
+    assert necs == {"R": 0.9, "S": 0.9, "T": 0.9}
+    resolved = fuzzy.resolve_possibility(mixed_kb, necs, grades, ops)
+    assert resolved == {"R": 0.9, "S": 1.0 - 0.3, "T": 1.0 - (1.0 - 0.3)}
+
+
 @given(nec=unit, attackers=st.lists(unit, max_size=4))
 def test_attacks_never_increase_necessity(nec, attackers):
     updated = fuzzy.necessity_update(nec, [], attackers)

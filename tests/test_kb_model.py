@@ -94,19 +94,31 @@ def test_transcription_is_bijective(kb1, kb2):
     assert set(kb2.rules) == KB1_RULE_LABELS
 
 
+def _labels(layers) -> tuple[tuple[str, ...], ...]:
+    return tuple(tuple(entry.label for entry in layer) for layer in layers)
+
+
+def _edges(kb: KnowledgeBase) -> dict[str, tuple[str, ...]]:
+    """Contradiction-on-contradiction edges, read from the declarations."""
+    return {
+        label: tuple(sorted(t for t in c.targets if t in kb.contradictions))
+        for label, c in kb.contradictions.items()
+    }
+
+
 def test_contradiction_graph_kb1(kb1):
-    g = contradiction_graph(kb1)
-    assert set(g.nodes) == KB1_CONTRA_LABELS
-    assert g.edges["CC3"] == ("OnlyAge.a", "OnlyAge.b", "OnlyAge.c")
-    assert all(not g.edges[n] for n in g.nodes if n != "CC3")
-    assert g.cyclic_groups == ()
-    assert set(g.layers[1]) == {"OnlyAge.a", "OnlyAge.b", "OnlyAge.c"}
+    layers = contradiction_graph(kb1)
+    assert {e.label for layer in layers for e in layer} == KB1_CONTRA_LABELS
+    edges = _edges(kb1)
+    assert edges["CC3"] == ("OnlyAge.a", "OnlyAge.b", "OnlyAge.c")
+    assert all(not edges[n] for n in edges if n != "CC3")
+    assert set(_labels(layers)[1]) == {"OnlyAge.a", "OnlyAge.b", "OnlyAge.c"}
 
 
 def test_contradiction_graph_no_edges(kb2):
-    g = contradiction_graph(kb2)
-    assert all(not targets for targets in g.edges.values())
-    assert len(g.layers) == 1
+    layers = contradiction_graph(kb2)
+    assert all(not e.contradiction_targets for layer in layers for e in layer)
+    assert len(layers) == 1
 
 
 def test_contradiction_graph_cycle():
@@ -120,20 +132,35 @@ contradiction X: IF rule R THEN NOT contradiction Y
 contradiction Y: IF rule R THEN NOT contradiction X
 """
     kb = parse_kb(src).kb
-    g = contradiction_graph(kb)
-    assert g.cyclic_groups == (frozenset({"X", "Y"}),)
-    assert len(g.layers) == 1
+    assert _labels(contradiction_graph(kb)) == (("X", "Y"),)
 
 
 def test_contradiction_graph_deterministic(kb1):
-    a = contradiction_graph(kb1)
-    b = contradiction_graph(kb1)
-    assert a.nodes == b.nodes and a.edges == b.edges and a.layers == b.layers
+    # neither a rebuild nor the declaration order changes the layers
+    items = list(kb1.contradictions.items())
+    random.Random(7).shuffle(items)
+    shuffled = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels, kb1.rules, dict(items))
+    assert contradiction_graph(kb1) == contradiction_graph(kb1) == contradiction_graph(shuffled)
+
+
+@pytest.mark.parametrize("kb_name", ["kb1", "kb2"])
+def test_layer_entries_split_targets(request, kb_name):
+    kb = request.getfixturevalue(kb_name)
+    entries = [e for layer in kb.layers for e in layer]
+    assert sorted(e.label for e in entries) == sorted(kb.contradictions)
+    for e in entries:
+        c = kb.contradictions[e.label]
+        assert e.rule_targets == tuple(t for t in c.targets if t in kb.rules)
+        assert e.contradiction_targets == tuple(t for t in c.targets if t in kb.contradictions)
+        if isinstance(c.antecedent, RuleRef):
+            assert (e.rule, e.premises) == (c.antecedent.label, None)
+        else:
+            assert (e.rule, e.premises) == (None, c.antecedent)
 
 
 def _graph_kb(targets: dict[str, tuple[str, ...]]) -> KnowledgeBase:
     """A knowledge base whose contradictions retract each other as ``targets``
-    says; every one fires on rule R, and only the graph is built from it."""
+    says; every one fires on rule R, and only the layers are built from it."""
     rule = Rule("R", ((("f", "on"),),), "low")
     contradictions = {
         label: Contradiction(label, RuleRef("R"), tgts) for label, tgts in targets.items()
@@ -172,9 +199,9 @@ def test_contradiction_graph_long_chain():
     depth = 1500
     targets = {"C0": ("R",)}
     targets.update({f"C{i}": (f"C{i - 1}",) for i in range(1, depth + 1)})
-    g = contradiction_graph(_graph_kb(targets))
-    assert len(g.layers) == depth + 1
-    assert g.layers == tuple((f"C{i}",) for i in range(depth, -1, -1))
+    layers = _labels(contradiction_graph(_graph_kb(targets)))
+    assert len(layers) == depth + 1
+    assert layers == tuple((f"C{i}",) for i in range(depth, -1, -1))
 
 
 def test_contradiction_graph_layers_match_reachability():
@@ -185,5 +212,5 @@ def test_contradiction_graph_layers_match_reachability():
             label: tuple(rng.sample(labels, rng.randint(0, min(3, len(labels)))))
             for label in labels
         }
-        g = contradiction_graph(_graph_kb(targets))
-        assert g.layers == _reference_layers(g.edges)
+        kb = _graph_kb(targets)
+        assert _labels(contradiction_graph(kb)) == _reference_layers(_edges(kb))

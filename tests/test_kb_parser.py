@@ -1,6 +1,6 @@
 import pytest
 
-from nonmono.kb import RuleRef, load_builtin, parse_kb, serialize_kb
+from nonmono.kb import RuleRef, load_builtin, parse_kb
 
 MINI_HEADER = """
 feature comments weight 5 domain [0.0, 1.0] {
@@ -144,12 +144,6 @@ def test_kb2_shares_kb1_rules(kb1, kb2):
     assert kb1.rules == kb2.rules
     assert kb1.features == kb2.features
     assert kb1.trust_levels == kb2.trust_levels
-
-
-def test_round_trip(kb1, kb2):
-    for kb in (kb1, kb2):
-        result = parse_kb(serialize_kb(kb), kb_id=kb.id)
-        assert result.kb == kb
 
 
 def test_bot_a_unresolved_in_builtin(kb1):
