@@ -11,10 +11,10 @@ accepted forecast-argument values into one scalar.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expert
-from .kb.model import Dnf, KnowledgeBase, RuleRef
+from .kb.model import Dnf, KnowledgeBase
 
 log = logging.getLogger(__name__)
 
@@ -37,14 +37,13 @@ class Argument:
     premises: Dnf
     strength: int
     consequent_level: str | None = None
-    source: str | None = None  # rule/contradiction label it came from
+    attack_kind: str = "rebuttal"  # of every attack it makes
 
 
 @dataclass(frozen=True)
 class ArgumentationFramework:
     arguments: dict[str, Argument]
     attacks: tuple[tuple[str, str], ...]
-    attack_kinds: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def attackers(self) -> dict[str, tuple[str, ...]]:
         inc: dict[str, list[str]] = {a: [] for a in self.arguments}
@@ -75,7 +74,6 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
     """
     args: dict[str, Argument] = {}
     attacks: list[tuple[str, str]] = []
-    kinds: dict[tuple[str, str], str] = {}
     for rule in kb.rules.values():
         args[rule.label] = Argument(
             label=rule.label,
@@ -83,36 +81,25 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
             premises=rule.antecedent,
             strength=kb.rule_weight(rule.label),
             consequent_level=rule.consequent_level,
-            source=rule.label,
         )
     for c in kb.contradictions.values():
         if c.unresolved:
             log.warning("contradiction %s: unresolved target(s) %s; attack omitted",
                         c.label, ", ".join(c.unresolved))
+        targets = c.rule_targets + c.contradiction_targets
         if c.mutual_with is not None:
-            src = c.antecedent.label
-            for tgt in c.targets:
-                attacks.append((src, tgt))
-                kinds[(src, tgt)] = "rebuttal"
+            attacks.extend((c.rule, tgt) for tgt in targets)
             continue
-        if isinstance(c.antecedent, RuleRef):
-            premises = kb.rules[c.antecedent.label].antecedent
-            attack_kind = "undermining"
-        else:
-            premises = c.antecedent
-            attack_kind = "undercutting"
-        strength = max(kb.features[f].weight for conj in premises for (f, _t) in conj)
+        premises = c.premises or kb.rules[c.rule].antecedent
         args[c.label] = Argument(
             label=c.label,
             kind="mitigating",
             premises=premises,
-            strength=strength,
-            source=c.label,
+            strength=max(kb.features[f].weight for conj in premises for (f, _t) in conj),
+            attack_kind="undercutting" if c.rule is None else "undermining",
         )
-        for tgt in c.targets:
-            attacks.append((c.label, tgt))
-            kinds[(c.label, tgt)] = attack_kind
-    return ArgumentationFramework(args, tuple(attacks), kinds)
+        attacks.extend((c.label, tgt) for tgt in targets)
+    return ArgumentationFramework(args, tuple(attacks))
 
 
 def elicit_subaf(af: ArgumentationFramework, features, kb: KnowledgeBase,
@@ -125,15 +112,13 @@ def elicit_subaf(af: ArgumentationFramework, features, kb: KnowledgeBase,
         if expert.antecedent_holds(arg.premises, features, kb)
     }
     attacks = []
-    kinds = {}
     for src, tgt in af.attacks:
         if src not in active or tgt not in active:
             continue
         if use_strength and active[src].strength < active[tgt].strength:
             continue
         attacks.append((src, tgt))
-        kinds[(src, tgt)] = af.attack_kinds[(src, tgt)]
-    return ArgumentationFramework(active, tuple(attacks), kinds)
+    return ArgumentationFramework(active, tuple(attacks))
 
 
 def grounded(af: ArgumentationFramework) -> Labelling:
@@ -343,7 +328,7 @@ class ArgumentationOutcome:
         trace: dict = {
             "activated_arguments": sorted(subaf.arguments),
             "kept_attacks": [
-                {"from": s, "to": t, "kind": subaf.attack_kinds[(s, t)]}
+                {"from": s, "to": t, "kind": subaf.arguments[s].attack_kind}
                 for s, t in subaf.attacks
             ],
             "forecast_values": {a: self.values[a] for a in sorted(self.values)},

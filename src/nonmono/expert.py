@@ -56,7 +56,7 @@ def evaluate_antecedent(antecedent: Dnf, features, kb: KnowledgeBase) -> Activat
         for fname, tlabel in conj:
             if fname not in features:
                 raise MissingFeatureError(f"feature {fname!r} missing from feature vector")
-            term = kb.features[fname].term(tlabel)
+            term = kb.terms[(fname, tlabel)]
             x = features[fname]
             if not term.contains(x):
                 holds = False
@@ -83,7 +83,7 @@ def antecedent_holds(antecedent: Dnf, features, kb: KnowledgeBase) -> bool:
         for fname, tlabel in conj:
             if fname not in features:
                 raise MissingFeatureError(f"feature {fname!r} missing from feature vector")
-            if not kb.features[fname].term(tlabel).contains(features[fname]):
+            if not kb.terms[(fname, tlabel)].contains(features[fname]):
                 ok = False
                 break
         if ok:

@@ -7,7 +7,6 @@ from .model import (
     LinguisticTerm,
     Premise,
     Rule,
-    RuleRef,
     TrustLevel,
     contradiction_graph,
 )
@@ -21,7 +20,7 @@ from .parser import (
 
 __all__ = [
     "Contradiction", "Feature", "Fmf", "KbValidationError",
-    "KnowledgeBase", "LinguisticTerm", "Premise", "Rule", "RuleRef", "TrustLevel",
+    "KnowledgeBase", "LinguisticTerm", "Premise", "Rule", "TrustLevel",
     "contradiction_graph",
     "KbParseError", "ParseDiagnostic", "ParseResult", "load_builtin", "parse_kb",
 ]

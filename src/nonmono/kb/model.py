@@ -3,6 +3,10 @@
 A knowledge base couples quantitative features (with linguistic terms mapped
 to numeric ranges and fuzzy membership functions) to IF-THEN trust rules and
 to contradictions (meta-rules that retract other rules or contradictions).
+A contradiction is one record that all three engines read: its antecedent is
+a rule label or premises, and its targets come split into rules and
+contradictions.  ``contradiction_graph`` orders the records into the layers
+in which the engines fire them.
 """
 from __future__ import annotations
 
@@ -21,10 +25,8 @@ __all__ = [
     "TrustLevel",
     "Premise",
     "Rule",
-    "RuleRef",
     "Contradiction",
     "KnowledgeBase",
-    "LayerEntry",
     "KbValidationError",
     "contradiction_graph",
 ]
@@ -151,12 +153,6 @@ class Feature:
                     f"[{self.domain_min}, {self.domain_max}]"
                 )
 
-    def term(self, label: str) -> LinguisticTerm:
-        for t in self.terms:
-            if t.label == label:
-                return t
-        raise KeyError(f"feature {self.name} has no term {label!r}")
-
 
 @dataclass(frozen=True)
 class TrustLevel:
@@ -188,23 +184,23 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class RuleRef:
-    label: str
-
-
-@dataclass(frozen=True)
 class Contradiction:
     """A meta-rule: when its antecedent holds, its targets are retracted.
 
-    ``targets`` normally holds one label; a group target is expanded at parse
-    time into the member labels.  ``unresolved`` lists targets that name no
-    declared rule or contradiction (kept, surfaced as warnings, never fired).
-    ``mutual_with`` links the twin of a mutual-exclusion pair.
+    The antecedent is either the label of a ``rule`` or the ``premises`` of a
+    DNF; the other is None.  The targets are split into ``rule_targets`` and
+    ``contradiction_targets``, each in declaration order; a group target is
+    expanded at parse time into the member labels.  ``unresolved`` lists
+    targets that name no declared rule or contradiction (kept, surfaced as
+    warnings, never fired).  ``mutual_with`` links the twin of a
+    mutual-exclusion pair, whose ``rule`` targets the other rule.
     """
 
     label: str
-    antecedent: RuleRef | Dnf
-    targets: tuple[str, ...]
+    rule: str | None
+    premises: Dnf | None
+    rule_targets: tuple[str, ...]
+    contradiction_targets: tuple[str, ...]
     unresolved: tuple[str, ...] = ()
     mutual_with: str | None = None
 
@@ -240,36 +236,35 @@ class KnowledgeBase:
                     f"rule {rule.label}: unknown trust level {rule.consequent_level!r}"
                 )
         for c in self.contradictions.values():
-            if isinstance(c.antecedent, RuleRef):
-                if c.antecedent.label not in self.rules:
-                    raise KbValidationError(
-                        f"contradiction {c.label}: unknown rule {c.antecedent.label!r}"
-                    )
-            else:
-                self._check_dnf(c.antecedent, f"contradiction {c.label}")
-            for t in c.targets:
-                if t not in self.rules and t not in self.contradictions:
-                    raise KbValidationError(
-                        f"contradiction {c.label}: dangling target {t!r}"
-                    )
+            if c.rule is None:
+                self._check_dnf(c.premises, f"contradiction {c.label}")
+            elif c.rule not in self.rules:
+                raise KbValidationError(f"contradiction {c.label}: unknown rule {c.rule!r}")
+            dangling = [t for t in c.rule_targets if t not in self.rules] + [
+                t for t in c.contradiction_targets if t not in self.contradictions]
+            if dangling:
+                raise KbValidationError(
+                    f"contradiction {c.label}: dangling target {dangling[0]!r}"
+                )
 
-    def _check_dnf(self, dnf: Dnf, where: str) -> None:
+    def _check_dnf(self, dnf: Dnf | None, where: str) -> None:
         if not dnf or any(not conj for conj in dnf):
             raise KbValidationError(f"{where}: empty antecedent")
         for conj in dnf:
-            for fname, tlabel in conj:
-                feat = self.features.get(fname)
-                if feat is None:
-                    raise KbValidationError(f"{where}: unknown feature {fname!r}")
-                try:
-                    feat.term(tlabel)
-                except KeyError:
-                    raise KbValidationError(
-                        f"{where}: feature {fname} has no term {tlabel!r}"
-                    ) from None
+            for premise in conj:
+                if premise not in self.terms:
+                    fname, tlabel = premise
+                    if fname not in self.features:
+                        raise KbValidationError(f"{where}: unknown feature {fname!r}")
+                    raise KbValidationError(f"{where}: feature {fname} has no term {tlabel!r}")
 
     @cached_property
-    def layers(self) -> tuple[tuple[LayerEntry, ...], ...]:
+    def terms(self) -> dict[Premise, LinguisticTerm]:
+        """The linguistic term of every ``(feature, term)`` premise."""
+        return {(name, t.label): t for name, f in self.features.items() for t in f.terms}
+
+    @cached_property
+    def layers(self) -> tuple[tuple[Contradiction, ...], ...]:
         return contradiction_graph(self)
 
     @cached_property
@@ -290,38 +285,14 @@ class KnowledgeBase:
         return self._rule_weights[rule_label]
 
 
-@dataclass(frozen=True)
-class LayerEntry:
-    """A contradiction as the engines fire it.  Its antecedent is either the
-    label of a ``rule`` or the ``premises`` of a DNF; the other is None.  Its
-    targets are split, each in declaration order, into rules and
-    contradictions."""
-
-    label: str
-    rule: str | None
-    premises: Dnf | None
-    rule_targets: tuple[str, ...]
-    contradiction_targets: tuple[str, ...]
-
-
-def contradiction_graph(kb: KnowledgeBase) -> tuple[tuple[LayerEntry, ...], ...]:
+def contradiction_graph(kb: KnowledgeBase) -> tuple[tuple[Contradiction, ...], ...]:
     """The contradictions in firing order: Kahn layers over the cycle
     condensation of the contradiction-on-contradiction edges, root first.
     Every contradiction of a strongly connected component shares its
     component's layer, and a layer is sorted by label."""
-    entries = {}
-    for label in sorted(kb.contradictions):
-        c = kb.contradictions[label]
-        by_rule = isinstance(c.antecedent, RuleRef)
-        entries[label] = LayerEntry(
-            label=label,
-            rule=c.antecedent.label if by_rule else None,
-            premises=None if by_rule else c.antecedent,
-            rule_targets=tuple(t for t in c.targets if t not in kb.contradictions),
-            contradiction_targets=tuple(t for t in c.targets if t in kb.contradictions),
-        )
-    edges = {label: e.contradiction_targets for label, e in entries.items()}
-    comp_of = _tarjan_scc(list(entries), edges)
+    labels = sorted(kb.contradictions)
+    edges = {label: kb.contradictions[label].contradiction_targets for label in labels}
+    comp_of = _tarjan_scc(labels, edges)
     comps: dict[int, list[str]] = {}
     for n, c in comp_of.items():
         comps.setdefault(c, []).append(n)
@@ -343,9 +314,9 @@ def contradiction_graph(kb: KnowledgeBase) -> tuple[tuple[LayerEntry, ...], ...]
             indegree[s] -= 1
             if indegree[s] == 0:
                 ready.append(s)
-    layers: list[list[LayerEntry]] = [[] for _ in range(1 + max(depth.values(), default=0))]
-    for label, entry in entries.items():
-        layers[depth[comp_of[label]]].append(entry)
+    layers: list[list[Contradiction]] = [[] for _ in range(1 + max(depth.values(), default=0))]
+    for label in labels:
+        layers[depth[comp_of[label]]].append(kb.contradictions[label])
     return tuple(map(tuple, layers))
 
 

@@ -13,13 +13,18 @@ Grammar (one declaration per line, ``#`` starts a comment)::
     group <name> = { <label>, <label>, ... }
 
 ``<expr>`` is ``<feature> is <term>`` combined with AND/OR; AND binds tighter
-and parentheses are allowed.  Antecedents are normalized to DNF.  ``inf`` in a
-term range is replaced by the feature's domain upper bound (saturation).  A
+and parentheses are allowed.  Antecedents are normalized to DNF.  Every
+number must be finite and a weight an integer.  ``inf`` in a term range is
+replaced by the feature's domain upper bound (saturation).  Each contradiction
+is parsed into the record the engines read: a rule label or DNF premises, and
+its targets split into rules and contradictions in declaration order.  A
 ``MUTEX`` declaration expands to the two directed contradictions ``<L>.a`` and
-``<L>.b``.  Unresolved contradiction targets are kept and reported as warnings.
+``<L>.b``, each with its own rule as antecedent and the other as its target.
+Unresolved contradiction targets are kept and reported as warnings.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -32,7 +37,6 @@ from .model import (
     KnowledgeBase,
     LinguisticTerm,
     Rule,
-    RuleRef,
     TrustLevel,
 )
 
@@ -105,9 +109,12 @@ class _LineParser:
     def number(self) -> float:
         tok = self.next()
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise _SyntaxError(self.line, f"expected a number, got {tok!r}") from None
+        if not math.isfinite(value):
+            raise _SyntaxError(self.line, f"expected a finite number, got {tok!r}")
+        return value
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -131,8 +138,8 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
     trust_levels: dict[str, TrustLevel] = {}
     rules: dict[str, Rule] = {}
     groups: dict[str, tuple[str, ...]] = {}
-    # raw contradictions: (line, label, antecedent, kind, target, mutual_with)
-    raw_contras: list[tuple[int, str, object, str, str, str | None]] = []
+    # raw contradictions: (line, label, rule, premises, kind, targets, mutual_with)
+    raw_contras: list[tuple] = []
     declared_id = kb_id
 
     def err(line: int, msg: str):
@@ -176,11 +183,13 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                 if name in features:
                     err(idx, f"duplicate feature {name!r}")
                 lp.expect("weight")
-                weight = int(lp.number())
+                weight = lp.number()
+                if weight != int(weight):
+                    raise _SyntaxError(idx, f"weight must be an integer, got {weight}")
                 lp.expect("domain")
                 lo, hi = _range(lp)
                 lp.expect("{")
-                in_feature = {"name": name, "weight": weight, "domain": (lo, hi), "terms": [], "line": idx}
+                in_feature = {"name": name, "weight": int(weight), "domain": (lo, hi), "terms": [], "line": idx}
             elif head == "trustlevel":
                 label = lp.next()
                 if label in trust_levels:
@@ -211,15 +220,16 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                     lp.expect("MUTEX")
                     lp.expect("rule")
                     b = lp.next()
-                    raw_contras.append((idx, f"{label}.a", RuleRef(a), "rule", (b,), f"{label}.b"))
-                    raw_contras.append((idx, f"{label}.b", RuleRef(b), "rule", (a,), f"{label}.a"))
+                    raw_contras.append((idx, f"{label}.a", a, None, "rule", (b,), f"{label}.b"))
+                    raw_contras.append((idx, f"{label}.b", b, None, "rule", (a,), f"{label}.a"))
                 else:
                     lp.expect("IF")
+                    rule = premises = None
                     if lp.peek() == "rule":
                         lp.next()
-                        ante: object = RuleRef(lp.next())
+                        rule = lp.next()
                     else:
-                        ante = _parse_expr_dnf(lp)
+                        premises = _parse_expr_dnf(lp)
                     lp.expect("THEN")
                     lp.expect("NOT")
                     kind = lp.expect("rule", "contradiction", "group")
@@ -227,7 +237,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                     while lp.peek() == ",":
                         lp.next()
                         targets.append(lp.next())
-                    raw_contras.append((idx, label, ante, kind, tuple(targets), None))
+                    raw_contras.append((idx, label, rule, premises, kind, tuple(targets), None))
             elif head == "group":
                 name = lp.next()
                 if name in groups:
@@ -258,7 +268,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
     contradictions: dict[str, Contradiction] = {}
     seen = set(rules)
     declared_contras = {label for (_l, label, *_rest) in raw_contras}
-    for line, label, ante, kind, raw_targets, mutual in raw_contras:
+    for line, label, rule, premises, kind, raw_targets, mutual in raw_contras:
         if label in seen or label in contradictions:
             err(line, f"duplicate label {label!r}")
             continue
@@ -275,13 +285,15 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
             if missing_group:
                 continue
             raw_targets = tuple(expanded)
-        targets = tuple(t for t in raw_targets if t in rules or t in declared_contras)
+        rule_targets = tuple(t for t in raw_targets if t in rules)
+        contra_targets = tuple(t for t in raw_targets if t in declared_contras)
         unresolved = tuple(t for t in raw_targets if t not in rules and t not in declared_contras)
         for t in unresolved:
             warn(line, f"contradiction {label}: unresolved target {t!r}")
-        if label in targets:
+        if label in contra_targets:
             warn(line, f"contradiction {label} targets itself")
-        contradictions[label] = Contradiction(label, ante, targets, unresolved, mutual)
+        contradictions[label] = Contradiction(
+            label, rule, premises, rule_targets, contra_targets, unresolved, mutual)
 
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, _sorted(diags))
@@ -323,9 +335,10 @@ def _parse_fmfs(lp: _LineParser) -> dict[str, Fmf]:
         lp.expect("(")
         params = []
         while lp.peek() != ")":
-            tok = lp.next()
-            if tok != ",":
-                params.append(float(tok))
+            if lp.peek() == ",":
+                lp.next()
+            else:
+                params.append(lp.number())
         lp.expect(")")
         fmf = Fmf(shape, tuple(params))
         variant = "gaussian" if shape == "gaussian" else "triangular"
@@ -345,9 +358,12 @@ def _parse_term_line(lp: _LineParser, feature_ctx: dict) -> None:
     lp.expect("[")
     lo = lp.number()
     lp.expect(",")
-    tok = lp.next()
-    saturated = tok == "inf"
-    hi = feature_ctx["domain"][1] if saturated else float(tok)
+    saturated = lp.peek() == "inf"
+    if saturated:
+        lp.next()
+        hi = feature_ctx["domain"][1]
+    else:
+        hi = lp.number()
     lp.expect("]")
     if lo > hi:
         raise _SyntaxError(lp.line, f"malformed range [{lo}, {hi}]")

@@ -50,7 +50,7 @@ def test_criterion_3_categoriser_fixed_points():
     t0 = time.perf_counter()
     mk = lambda atts: arg.ArgumentationFramework(
         {a: arg.Argument(a, "forecast", ((("f", "on"),),), 1, "high") for a in "AB"},
-        atts, {p: "rebuttal" for p in atts})
+        atts)
     chain = arg.categoriser(mk((("B", "A"),)))
     mutual = arg.categoriser(mk((("A", "B"), ("B", "A"))))
     phi = (math.sqrt(5) - 1) / 2

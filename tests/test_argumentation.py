@@ -11,13 +11,12 @@ from nonmono.kb import parse_kb
 PHI = (math.sqrt(5) - 1) / 2
 
 
-def toy_af(strengths: dict[str, int], attacks, kinds=None):
+def toy_af(strengths: dict[str, int], attacks):
     args = {
         label: arg.Argument(label, "forecast", ((("f", "on"),),), s, "high")
         for label, s in strengths.items()
     }
-    return arg.ArgumentationFramework(args, tuple(attacks),
-                                      kinds or {a: "rebuttal" for a in attacks})
+    return arg.ArgumentationFramework(args, tuple(attacks))
 
 
 def test_build_af_counts(kb1):
@@ -27,8 +26,9 @@ def test_build_af_counts(kb1):
     assert len(forecast) == 29
     assert len(mitigating) == 43
     assert ("CC1", "B1") in af.attacks
-    assert af.attack_kinds[("CC1", "B1")] == "undermining"
-    assert af.attack_kinds[("Bot.b", "U3")] == "undercutting"
+    assert ("Bot.b", "U3") in af.attacks
+    assert af.arguments["CC1"].attack_kind == "undermining"
+    assert af.arguments["Bot.b"].attack_kind == "undercutting"
     # unresolved Bot.a target produces the argument but no attack
     assert "Bot.a" in af.arguments
     assert all(src != "Bot.a" for src, _t in af.attacks)
@@ -51,12 +51,21 @@ def test_build_af_kb2_rebuttals(kb2):
     mitigating = [a for a in af.arguments.values() if a.kind == "mitigating"]
     assert len(forecast) == 29
     assert len(mitigating) == 55          # directed rows only; mutual rows collapse
-    rebuttals = [p for p, k in af.attack_kinds.items() if k == "rebuttal"]
+    rebuttals = [(s, t) for s, t in af.attacks if af.arguments[s].attack_kind == "rebuttal"]
     assert len(rebuttals) == 2 * 252
     for src, tgt in rebuttals:
-        assert (tgt, src) in af.attack_kinds
+        assert (tgt, src) in af.attacks
         assert af.arguments[src].kind == "forecast"
         assert af.arguments[tgt].kind == "forecast"
+
+
+def test_build_af_mixed_targets(mixed_kb):
+    # A's premises undercut rule S and contradiction B; B's rule R undermines T
+    af = arg.build_af(mixed_kb)
+    assert af.attacks == (("A", "S"), ("A", "B"), ("B", "T"))
+    assert af.arguments["A"].attack_kind == "undercutting"
+    assert af.arguments["B"].attack_kind == "undermining"
+    assert af.arguments["B"].premises == mixed_kb.rules["R"].antecedent
 
 
 def test_elicit_strength_filter(kb1):

@@ -165,11 +165,12 @@ def test_run_matrix_negative_jobs_rejected(features_csv, barnstars_path, tmp_pat
     assert not out.exists()
 
 
-def test_kb_validate_builtin_file(tmp_path):
+@pytest.mark.parametrize("kb_id", ["KB1", "KB2"])
+def test_kb_validate_builtin_file(tmp_path, kb_id):
     from importlib import resources
 
-    text = resources.files("nonmono.kb").joinpath("data/kb1.kb").read_text("utf-8")
-    path = tmp_path / "kb1.kb"
+    text = resources.files("nonmono.kb").joinpath(f"data/{kb_id.lower()}.kb").read_text("utf-8")
+    path = tmp_path / f"{kb_id}.kb"
     path.write_text(text)
     assert main(["kb", "validate", str(path)]) == 0
 

@@ -11,7 +11,6 @@ from nonmono.kb import (
     KnowledgeBase,
     LinguisticTerm,
     Rule,
-    RuleRef,
     contradiction_graph,
     parse_kb,
 )
@@ -101,7 +100,7 @@ def _labels(layers) -> tuple[tuple[str, ...], ...]:
 def _edges(kb: KnowledgeBase) -> dict[str, tuple[str, ...]]:
     """Contradiction-on-contradiction edges, read from the declarations."""
     return {
-        label: tuple(sorted(t for t in c.targets if t in kb.contradictions))
+        label: tuple(sorted(c.contradiction_targets))
         for label, c in kb.contradictions.items()
     }
 
@@ -149,13 +148,13 @@ def test_layer_entries_split_targets(request, kb_name):
     entries = [e for layer in kb.layers for e in layer]
     assert sorted(e.label for e in entries) == sorted(kb.contradictions)
     for e in entries:
-        c = kb.contradictions[e.label]
-        assert e.rule_targets == tuple(t for t in c.targets if t in kb.rules)
-        assert e.contradiction_targets == tuple(t for t in c.targets if t in kb.contradictions)
-        if isinstance(c.antecedent, RuleRef):
-            assert (e.rule, e.premises) == (c.antecedent.label, None)
+        assert e is kb.contradictions[e.label]
+        assert all(t in kb.rules for t in e.rule_targets)
+        assert all(t in kb.contradictions for t in e.contradiction_targets)
+        if e.premises is None:
+            assert e.rule in kb.rules
         else:
-            assert (e.rule, e.premises) == (None, c.antecedent)
+            assert e.rule is None and e.premises
 
 
 def _graph_kb(targets: dict[str, tuple[str, ...]]) -> KnowledgeBase:
@@ -163,7 +162,9 @@ def _graph_kb(targets: dict[str, tuple[str, ...]]) -> KnowledgeBase:
     says; every one fires on rule R, and only the layers are built from it."""
     rule = Rule("R", ((("f", "on"),),), "low")
     contradictions = {
-        label: Contradiction(label, RuleRef("R"), tgts) for label, tgts in targets.items()
+        label: Contradiction(label, "R", None, tuple(t for t in tgts if t == "R"),
+                             tuple(t for t in tgts if t != "R"))
+        for label, tgts in targets.items()
     }
     return KnowledgeBase("graph", {}, {}, {"R": rule}, contradictions)
 

@@ -1,6 +1,7 @@
 import pytest
 
-from nonmono.kb import RuleRef, load_builtin, parse_kb
+from nonmono.cli import main
+from nonmono.kb import load_builtin, parse_kb
 
 MINI_HEADER = """
 feature comments weight 5 domain [0.0, 1.0] {
@@ -31,8 +32,17 @@ def test_parse_contradiction_line():
     )
     kb = parse_kb(src).kb
     c = kb.contradictions["CC1"]
-    assert c.antecedent == RuleRef("NM1")
-    assert c.targets == ("B1",)
+    assert (c.rule, c.premises) == ("NM1", None)
+    assert (c.rule_targets, c.contradiction_targets) == (("B1",), ())
+
+
+def test_targets_split_in_declaration_order(mixed_kb, kb1):
+    a = mixed_kb.contradictions["A"]
+    assert (a.rule, a.premises) == (None, ((("f", "on"),),))
+    assert (a.rule_targets, a.contradiction_targets) == (("S",), ("B",))
+    cc3 = kb1.contradictions["CC3"]
+    assert cc3.rule_targets == ()
+    assert cc3.contradiction_targets == ("OnlyAge.a", "OnlyAge.b", "OnlyAge.c")
 
 
 def test_empty_source_is_error():
@@ -100,6 +110,41 @@ feature f weight 1 domain [0.0, 1.0] {
     assert any("malformed range" in d.message for d in result.errors)
 
 
+NUMBERS = """\
+feature pages weight 3 domain [0.0, 10.0] {
+    term low = [0.0, 5.0] fmf triangular(0.0, 0.0, 5.0)
+    term high = [5.0, inf] fmf gaussian(8.0, 1.0)
+}
+trustlevel low = [0.0, 0.5] fmf crisp(0.0, 0.5)
+trustlevel high = [0.5, 1.0] fmf crisp(0.5, 1.0)
+rule R: IF pages is high THEN trust is high
+"""
+
+
+@pytest.mark.parametrize("old, new, line", [
+    pytest.param("weight 3", "weight 3.7", 1, id="weight"),
+    pytest.param("domain [0.0, 10.0]", "domain [0.0, nan]", 1, id="domain"),
+    pytest.param("low = [0.0, 5.0]", "low = [nan, 5.0]", 2, id="term-lower"),
+    pytest.param("high = [5.0, inf]", "high = [5.0, nan]", 3, id="term-upper"),
+    pytest.param("triangular(0.0, 0.0, 5.0)", "triangular(0.0, nan, 5.0)", 2, id="term-fmf"),
+    pytest.param("gaussian(8.0, 1.0)", "gaussian(8.0, nan)", 3, id="gaussian-nan"),
+    pytest.param("gaussian(8.0, 1.0)", "gaussian(8.0, inf)", 3, id="gaussian-inf"),
+    pytest.param("trustlevel low = [0.0, 0.5]", "trustlevel low = [-inf, 0.5]", 5,
+                 id="trustlevel"),
+    pytest.param("crisp(0.5, 1.0)", "crisp(0.5, nan)", 6, id="trustlevel-fmf"),
+])
+def test_number_not_coerced(tmp_path, capsys, old, new, line):
+    assert parse_kb(NUMBERS).diagnostics == []
+    src = NUMBERS.replace(old, new, 1)
+    result = parse_kb(src)
+    assert result.kb is None
+    assert any(d.line == line for d in result.errors)
+    path = tmp_path / "bad.kb"
+    path.write_text(src)
+    assert main(["kb", "validate", str(path)]) == 1
+    assert f"error: line {line}:" in capsys.readouterr().out
+
+
 def test_unresolved_target_is_warning():
     src = MINI_HEADER + (
         "rule NM1: IF not_minor is very_low THEN trust is low\n"
@@ -136,8 +181,9 @@ def test_builtin_kb2_counts(kb2):
     for c in mutual:
         twin = kb2.contradictions[c.mutual_with]
         assert twin.mutual_with == c.label
-        assert twin.targets == (c.antecedent.label,)
-        assert c.targets == (twin.antecedent.label,)
+        assert (twin.premises, twin.contradiction_targets) == (None, ())
+        assert twin.rule_targets == (c.rule,)
+        assert c.rule_targets == (twin.rule,)
 
 
 def test_kb2_shares_kb1_rules(kb1, kb2):
@@ -147,7 +193,8 @@ def test_kb2_shares_kb1_rules(kb1, kb2):
 
 
 def test_bot_a_unresolved_in_builtin(kb1):
-    assert kb1.contradictions["Bot.a"].targets == ()
+    bot_a = kb1.contradictions["Bot.a"]
+    assert bot_a.rule_targets + bot_a.contradiction_targets == ()
     assert kb1.contradictions["Bot.a"].unresolved == ("U4",)
 
 

@@ -21,7 +21,7 @@ def random_af(rng: random.Random, n: int, p: float = 0.3):
     attacks = tuple(
         (a, b) for a in names for b in names if a != b and rng.random() < p
     )
-    return arg.ArgumentationFramework(args, attacks, {p_: "rebuttal" for p_ in attacks})
+    return arg.ArgumentationFramework(args, attacks)
 
 
 def brute_force_labellings(af):
