@@ -122,25 +122,33 @@ def elicit_subaf(af: ArgumentationFramework, features, kb: KnowledgeBase,
 
 
 def grounded(af: ArgumentationFramework) -> Labelling:
-    """The unique maximal-undec reinstatement labelling, by fixpoint
-    iteration: in when all attackers are out, out when some attacker is in."""
-    attackers = af.attackers()
+    """The unique maximal-undec reinstatement labelling: in when all
+    attackers are out, out when some attacker is in, undec otherwise.
+
+    A worklist labels each argument at most once.  Every argument counts
+    its attackers that are not yet OUT; one whose count reaches 0 is IN,
+    its unlabelled targets are OUT, and their targets' counts drop.  What
+    is never labelled is UNDEC.  Keys come in ``af.arguments`` order.
+    """
+    targets: dict[str, list[str]] = {a: [] for a in af.arguments}
+    live = dict.fromkeys(af.arguments, 0)
+    for src, tgt in af.attacks:
+        targets[src].append(tgt)
+        live[tgt] += 1
     labels: dict[str, str] = {}
-    changed = True
-    while changed:
-        changed = False
-        for a in af.arguments:
-            if a in labels:
+    todo = [a for a, n in live.items() if n == 0]
+    while todo:
+        a = todo.pop()
+        labels[a] = IN
+        for t in targets[a]:
+            if t in labels:
                 continue
-            if all(labels.get(b) == OUT for b in attackers[a]):
-                labels[a] = IN
-                changed = True
-            elif any(labels.get(b) == IN for b in attackers[a]):
-                labels[a] = OUT
-                changed = True
-    for a in af.arguments:
-        labels.setdefault(a, UNDEC)
-    return Labelling({a: labels[a] for a in af.arguments})
+            labels[t] = OUT
+            for u in targets[t]:
+                live[u] -= 1
+                if live[u] == 0:
+                    todo.append(u)
+    return Labelling({a: labels.get(a, UNDEC) for a in af.arguments})
 
 
 def complete(af: ArgumentationFramework) -> list[Labelling]:
@@ -222,26 +230,32 @@ def stable(af: ArgumentationFramework) -> list[Labelling]:
 def categoriser(af: ArgumentationFramework) -> dict[str, float]:
     """Fixed point of ``Cat(a) = 1 / (1 + sum of attacker scores)``.
 
-    Damped Jacobi iteration from all ones; unattacked arguments are pinned at
-    exactly 1.  One undamped application after convergence returns scores
-    whose residual stays below ``CAT_TOLERANCE`` while acyclic chains come
-    out exact.
+    Damped Jacobi iteration from all ones, over the attacked arguments
+    only: an unattacked argument is exactly 1 in every round, so it is
+    left out of the rounds and the residual.  Each round computes every
+    next value from the previous round's scores, summing attacker scores
+    in ``af.attacks`` order.  One undamped application after convergence
+    returns scores whose residual stays below ``CAT_TOLERANCE`` while
+    acyclic chains come out exact.  Keys come in ``af.arguments`` order.
     """
-    attackers = af.attackers()
-
-    def apply(scores: dict[str, float]) -> dict[str, float]:
-        return {
-            a: 1.0 if not attackers[a] else 1.0 / (1.0 + sum(scores[b] for b in attackers[a]))
-            for a in af.arguments
-        }
-
-    scores = {a: 1.0 for a in af.arguments}
+    index = {a: i for i, a in enumerate(af.arguments)}
+    incoming: dict[int, list[int]] = {}
+    for src, tgt in af.attacks:
+        incoming.setdefault(index[tgt], []).append(index[src])
+    attacked = list(incoming)
+    sources = list(incoming.values())
+    scores = [1.0] * len(index)
     for _ in range(CAT_MAX_ITER):
-        nxt = apply(scores)
-        residual = max((abs(nxt[a] - scores[a]) for a in scores), default=0.0)
+        nxt = [1.0 / (1.0 + sum([scores[j] for j in srcs])) for srcs in sources]
+        prev = [scores[i] for i in attacked]
+        residual = max([abs(n - p) for n, p in zip(nxt, prev)], default=0.0)
         if residual < CAT_TOLERANCE / 2:
-            return apply(scores)
-        scores = {a: scores[a] + CAT_DAMPING * (nxt[a] - scores[a]) for a in scores}
+            # this round's values are the undamped application
+            for i, n in zip(attacked, nxt):
+                scores[i] = n
+            return dict(zip(af.arguments, scores))
+        for i, n, p in zip(attacked, nxt, prev):
+            scores[i] = p + CAT_DAMPING * (n - p)
     raise RuntimeError(
         f"categoriser did not converge within {CAT_MAX_ITER} iterations (residual {residual:.3e})"
     )

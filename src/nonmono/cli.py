@@ -135,9 +135,17 @@ def _write_plots(results, baseline_by_metric, out_dir: Path) -> list[Path]:
     return written
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_run_matrix(args) -> int:
     if args.jobs < 0:
-        raise UserError(f"--jobs must be 0 (available parallelism) or more, not {args.jobs}")
+        raise UserError(f"--jobs must be 0 (the usable CPUs) or more, not {args.jobs}")
     if any(c in args.dataset for c in ",\r\n"):
         # results.csv is written unquoted, so its row would not read back
         raise UserError(f"--dataset must not contain a comma or line break: {args.dataset!r}")
@@ -150,7 +158,7 @@ def cmd_run_matrix(args) -> int:
         raise UserError(f"barnstars file not found: {args.barnstars}")
     barnstars = _as_user_error(read_barnstars, args.barnstars)
     kb_set = {kb_id: load_builtin(kb_id) for kb_id in BUILTIN_IDS}
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs else available_cpus()
     results = evaluation.run_matrix(kb_set, features, barnstars, model_filter, jobs=jobs)
     _as_user_error(evaluation.write_results_csv, results, args.dataset, args.out, errors=OSError)
     completed = sum(1 for _c, t in results if t.na_pct is not None and t.na_pct < 100.0)
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=None, help="comma-separated model ids")
     p.add_argument("--dataset", default="dataset")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes; 0 = available parallelism")
+                   help="worker processes; 0 = the CPUs this process may run on")
     p.add_argument("--plots", action="store_true")
     p.add_argument("--plot-dir", default=None)
     p.set_defaults(func=cmd_run_matrix)

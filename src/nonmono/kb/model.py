@@ -35,7 +35,16 @@ MAX_FEATURE_WEIGHT = 8
 
 
 class KbValidationError(ValueError):
-    """Raised when a knowledge base violates a structural invariant."""
+    """Raised when a knowledge base violates a structural invariant.
+
+    ``declaration`` names the offending declaration as a ``(keyword,
+    label)`` pair, such as ``("rule", "B1")``, when there is one, so that a
+    parser can report the line that declared it.
+    """
+
+    def __init__(self, message: str, declaration: tuple[str, str] | None = None):
+        super().__init__(message)
+        self.declaration = declaration
 
 
 @dataclass(frozen=True)
@@ -222,41 +231,48 @@ class KnowledgeBase:
         levels = sorted(self.trust_levels.values(), key=lambda l: (l.lower, l.upper))
         if not levels:
             raise KbValidationError("no trust levels declared")
-        if levels[0].lower != 0.0 or levels[-1].upper != 1.0:
-            raise KbValidationError("trust levels must span [0, 1]")
+        if levels[0].lower != 0.0:
+            raise KbValidationError("trust levels must span [0, 1]", ("trustlevel", levels[0].label))
+        if levels[-1].upper != 1.0:
+            raise KbValidationError("trust levels must span [0, 1]", ("trustlevel", levels[-1].label))
         for prev, cur in zip(levels, levels[1:]):
             if cur.lower != prev.upper:
                 raise KbValidationError(
-                    f"trust levels {prev.label} and {cur.label} do not tile [0, 1]"
+                    f"trust levels {prev.label} and {cur.label} do not tile [0, 1]",
+                    ("trustlevel", cur.label),
                 )
         for rule in self.rules.values():
-            self._check_dnf(rule.antecedent, f"rule {rule.label}")
+            where = ("rule", rule.label)
+            self._check_dnf(rule.antecedent, where)
             if rule.consequent_level not in self.trust_levels:
                 raise KbValidationError(
-                    f"rule {rule.label}: unknown trust level {rule.consequent_level!r}"
+                    f"rule {rule.label}: unknown trust level {rule.consequent_level!r}", where
                 )
         for c in self.contradictions.values():
+            where = ("contradiction", c.label)
             if c.rule is None:
-                self._check_dnf(c.premises, f"contradiction {c.label}")
+                self._check_dnf(c.premises, where)
             elif c.rule not in self.rules:
-                raise KbValidationError(f"contradiction {c.label}: unknown rule {c.rule!r}")
+                raise KbValidationError(f"contradiction {c.label}: unknown rule {c.rule!r}", where)
             dangling = [t for t in c.rule_targets if t not in self.rules] + [
                 t for t in c.contradiction_targets if t not in self.contradictions]
             if dangling:
                 raise KbValidationError(
-                    f"contradiction {c.label}: dangling target {dangling[0]!r}"
+                    f"contradiction {c.label}: dangling target {dangling[0]!r}", where
                 )
 
-    def _check_dnf(self, dnf: Dnf | None, where: str) -> None:
+    def _check_dnf(self, dnf: Dnf | None, where: tuple[str, str]) -> None:
+        name = " ".join(where)
         if not dnf or any(not conj for conj in dnf):
-            raise KbValidationError(f"{where}: empty antecedent")
+            raise KbValidationError(f"{name}: empty antecedent", where)
         for conj in dnf:
             for premise in conj:
                 if premise not in self.terms:
                     fname, tlabel = premise
                     if fname not in self.features:
-                        raise KbValidationError(f"{where}: unknown feature {fname!r}")
-                    raise KbValidationError(f"{where}: feature {fname} has no term {tlabel!r}")
+                        raise KbValidationError(f"{name}: unknown feature {fname!r}", where)
+                    raise KbValidationError(
+                        f"{name}: feature {fname} has no term {tlabel!r}", where)
 
     @cached_property
     def terms(self) -> dict[Premise, LinguisticTerm]:

@@ -131,7 +131,9 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
     """Parse DSL text into a validated knowledge base.
 
     Returns the knowledge base together with all diagnostics; the knowledge
-    base is ``None`` when any error-severity diagnostic was produced.
+    base is ``None`` when any error-severity diagnostic was produced.  A
+    validation error is reported at the line that declared the rule,
+    contradiction or trust level it names.
     """
     diags: list[ParseDiagnostic] = []
     features: dict[str, Feature] = {}
@@ -140,6 +142,8 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
     groups: dict[str, tuple[str, ...]] = {}
     # raw contradictions: (line, label, rule, premises, kind, targets, mutual_with)
     raw_contras: list[tuple] = []
+    # line of each (keyword, label) declaration, for validation errors
+    declared_at: dict[tuple[str, str], int] = {}
     declared_id = kb_id
 
     def err(line: int, msg: str):
@@ -198,6 +202,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                 lo, hi = _range(lp)
                 fmfs = _parse_fmfs(lp) if not lp.done() else {}
                 trust_levels[label] = TrustLevel(label, lo, hi, fmfs)
+                declared_at["trustlevel", label] = idx
             elif head == "rule":
                 label = lp.next()
                 if label in rules:
@@ -210,6 +215,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                 lp.expect("is")
                 level = lp.next()
                 rules[label] = Rule(label, dnf, level)
+                declared_at["rule", label] = idx
             elif head == "contradiction":
                 label = lp.next()
                 lp.expect(":")
@@ -294,6 +300,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
             warn(line, f"contradiction {label} targets itself")
         contradictions[label] = Contradiction(
             label, rule, premises, rule_targets, contra_targets, unresolved, mutual)
+        declared_at["contradiction", label] = line
 
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, _sorted(diags))
@@ -307,7 +314,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
     try:
         kb.validate()
     except KbValidationError as e:
-        err(0, str(e))
+        err(declared_at.get(e.declaration, len(lines) or 1), str(e))
         return ParseResult(None, _sorted(diags))
     return ParseResult(kb, _sorted(diags))
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import traceback
 
 import pytest
 
@@ -245,6 +247,104 @@ def test_categoriser_residual():
         expected = 1.0 if not attackers[a] else 1.0 / (1.0 + sum(scores[b] for b in attackers[a]))
         assert abs(s - expected) < 1e-9
         assert 0.0 < s <= 1.0
+
+
+def _dict_categoriser(af):
+    """The earlier categoriser, kept as an order oracle: damped Jacobi that
+    rebuilds a dict over every argument each round."""
+    attackers = af.attackers()
+
+    def apply(scores):
+        return {
+            a: 1.0 if not attackers[a] else 1.0 / (1.0 + sum(scores[b] for b in attackers[a]))
+            for a in af.arguments
+        }
+
+    scores = {a: 1.0 for a in af.arguments}
+    for _ in range(arg.CAT_MAX_ITER):
+        nxt = apply(scores)
+        residual = max((abs(nxt[a] - scores[a]) for a in scores), default=0.0)
+        if residual < arg.CAT_TOLERANCE / 2:
+            return apply(scores)
+        scores = {a: scores[a] + arg.CAT_DAMPING * (nxt[a] - scores[a]) for a in scores}
+    raise RuntimeError("oracle did not converge")
+
+
+def _fixpoint_grounded(af):
+    """The earlier grounded labelling, kept as an order oracle: passes over
+    every unlabelled argument until none changes."""
+    attackers = af.attackers()
+    labels = {}
+    changed = True
+    while changed:
+        changed = False
+        for a in af.arguments:
+            if a in labels:
+                continue
+            if all(labels.get(b) == arg.OUT for b in attackers[a]):
+                labels[a] = arg.IN
+                changed = True
+            elif any(labels.get(b) == arg.IN for b in attackers[a]):
+                labels[a] = arg.OUT
+                changed = True
+    return arg.Labelling({a: labels.get(a, arg.UNDEC) for a in af.arguments})
+
+
+def _random_frameworks(seed, count):
+    """Frameworks of 1-14 arguments with self-attacks, odd cycles and
+    repeated attacks, attacks in shuffled order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        names = [f"a{i}" for i in range(n)]
+        rng.shuffle(names)
+        p = rng.choice((0.1, 0.2, 0.35))
+        attacks = [(a, b) for a in names for b in names if rng.random() < p]
+        if n >= 3 and rng.random() < 0.5:
+            x, y, z = rng.sample(names, 3)
+            attacks += [(x, y), (y, z), (z, x)]
+        attacks += [rng.choice(attacks) for _ in range(rng.randint(0, 3))] if attacks else []
+        rng.shuffle(attacks)
+        yield toy_af({a: 1 for a in names}, attacks)
+
+
+def _fixture_subafs(kbs, feature_vectors):
+    for kb in kbs:
+        for fv in feature_vectors.values():
+            for use_strength in (False, True):
+                yield arg.elicit_subaf(kb.framework, fv, kb, use_strength)
+
+
+def test_categoriser_matches_dict_jacobi(kb1, kb2, feature_vectors):
+    # same bits and key order as the dict-per-round iteration
+    subafs = [*_random_frameworks(2001, 1500), *_fixture_subafs((kb1, kb2), feature_vectors)]
+    for af in subafs:
+        assert list(arg.categoriser(af).items()) == list(_dict_categoriser(af).items())
+
+
+def test_grounded_matches_fixpoint(kb1, kb2, feature_vectors):
+    subafs = [*_random_frameworks(1995, 1500), *_fixture_subafs((kb1, kb2), feature_vectors)]
+    for af in subafs:
+        assert list(arg.grounded(af).labels.items()) == \
+            list(_fixpoint_grounded(af).labels.items())
+
+
+def test_grounded_long_chain_linear():
+    # a0 -> a1 -> ... declared target-first: the fixpoint needed a pass per link
+    n = 10_000
+    names = [f"a{i}" for i in range(n)]
+    af = toy_af({a: 1 for a in reversed(names)}, zip(names, names[1:]))
+    want = [(a, arg.OUT if i % 2 else arg.IN) for i, a in reversed(list(enumerate(names)))]
+    depth = sum(1 for _ in traceback.walk_stack(None))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        labels = arg.grounded(af).labels
+        complete = arg.complete(af)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list(labels.items()) == want
+    assert [list(l.labels.items()) for l in complete] == [want]
 
 
 def test_accrue_largest_extension():

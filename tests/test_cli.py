@@ -1,9 +1,11 @@
 import json
+import os
 from xml.etree import ElementTree as ET
 
 import pytest
 
 from conftest import GOLDEN
+from nonmono import evaluation
 from nonmono.cli import main
 from nonmono.evaluation import MODEL_REGISTRY, read_results_csv, read_trust_csv
 from nonmono.ingest import FEATURE_COLUMNS
@@ -163,6 +165,33 @@ def test_run_matrix_negative_jobs_rejected(features_csv, barnstars_path, tmp_pat
     assert rc == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("affinity, cpu_count, want", [
+    pytest.param({3, 5}, 64, 2, id="affinity-mask"),
+    pytest.param(None, 3, 3, id="no-affinity-api"),
+    pytest.param(None, None, 1, id="cpu-count-unknown"),
+])
+def test_run_matrix_jobs_0_uses_usable_cpus(features_csv, barnstars_path, tmp_path,
+                                            monkeypatch, affinity, cpu_count, want):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    seen = []
+    real_run_matrix = evaluation.run_matrix
+
+    def run_matrix(*args, jobs):
+        seen.append(jobs)
+        return real_run_matrix(*args, jobs=1)
+
+    monkeypatch.setattr(evaluation, "run_matrix", run_matrix)
+    rc = main(["run-matrix", "--features", str(features_csv),
+               "--barnstars", str(barnstars_path), "--out", str(tmp_path / "r.csv"),
+               "--models", "E1", "--jobs", "0"])
+    assert rc == 0
+    assert seen == [want]
 
 
 @pytest.mark.parametrize("kb_id", ["KB1", "KB2"])

@@ -145,6 +145,40 @@ def test_number_not_coerced(tmp_path, capsys, old, new, line):
     assert f"error: line {line}:" in capsys.readouterr().out
 
 
+GOOD_RULES = (
+    "rule NM1: IF not_minor is very_low THEN trust is low\n"
+    "rule B1: IF comments is low THEN trust is high\n"
+)
+
+
+@pytest.mark.parametrize("src, line, message", [
+    pytest.param(MINI_HEADER + GOOD_RULES + "contradiction ZZ: IF rule NOPE THEN NOT rule B1\n",
+                 13, "contradiction ZZ: unknown rule 'NOPE'", id="unknown-rule"),
+    pytest.param(MINI_HEADER + "rule R: IF pages is low THEN trust is low\n" + GOOD_RULES,
+                 11, "rule R: unknown feature 'pages'", id="unknown-feature"),
+    pytest.param(MINI_HEADER + GOOD_RULES + "rule R: IF comments is nope THEN trust is low\n",
+                 13, "rule R: feature comments has no term 'nope'", id="unknown-term"),
+    pytest.param(MINI_HEADER + GOOD_RULES
+                 + "contradiction ZZ: IF comments is nope THEN NOT rule B1\n",
+                 13, "contradiction ZZ: feature comments has no term 'nope'",
+                 id="unknown-term-premises"),
+    pytest.param(MINI_HEADER + "rule R: IF comments is low THEN trust is very_high\n",
+                 11, "rule R: unknown trust level 'very_high'", id="unknown-trust-level"),
+    pytest.param(MINI_HEADER.replace("high = [0.5, 1.0]", "high = [0.6, 1.0]") + GOOD_RULES,
+                 10, "trust levels low and high do not tile [0, 1]", id="tiling-gap"),
+    pytest.param(MINI_HEADER.replace("low = [0.0, 0.5]", "low = [0.1, 0.5]") + GOOD_RULES,
+                 9, "trust levels must span [0, 1]", id="span-start"),
+])
+def test_validation_error_names_its_line(tmp_path, capsys, src, line, message):
+    result = parse_kb(src)
+    assert result.kb is None
+    assert [(d.line, d.message) for d in result.errors] == [(line, message)]
+    path = tmp_path / "bad.kb"
+    path.write_text(src)
+    assert main(["kb", "validate", str(path)]) == 1
+    assert f"error: line {line}: {message}" in capsys.readouterr().out
+
+
 def test_unresolved_target_is_warning():
     src = MINI_HEADER + (
         "rule NM1: IF not_minor is very_low THEN trust is low\n"
