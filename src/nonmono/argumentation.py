@@ -45,12 +45,6 @@ class ArgumentationFramework:
     arguments: dict[str, Argument]
     attacks: tuple[tuple[str, str], ...]
 
-    def attackers(self) -> dict[str, tuple[str, ...]]:
-        inc: dict[str, list[str]] = {a: [] for a in self.arguments}
-        for src, tgt in self.attacks:
-            inc[tgt].append(src)
-        return {a: tuple(v) for a, v in inc.items()}
-
 
 @dataclass(frozen=True)
 class Labelling:

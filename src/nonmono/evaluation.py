@@ -305,7 +305,8 @@ def run_matrix(
     if workers > 1 and selected:
         for config in selected:
             kb = kb_set[config.kb_id]
-            _ = kb.framework if config.engine == "argumentation" else kb.layers
+            _ = (kb.framework if config.engine == "argumentation"
+                 else kb.cap_layers if config.engine == "fuzzy" else kb.layers)
         size = max(1, n // (workers * CHUNKS_PER_WORKER))
         chunks = [features[i:i + size] for i in range(0, n, size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

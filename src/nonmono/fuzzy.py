@@ -4,7 +4,10 @@ Stages: fuzzify crisp inputs, combine premise grades into rule necessities
 (t-norm/t-conorm), shrink necessities through contradictions (possibility of
 every proposition is fixed at 1, so an attacker Q caps its target at
 ``1 - Nec(Q)``), apply normalised rule weights, aggregate per trust level
-disjunctively, defuzzify the clipped level curves.
+disjunctively, defuzzify the clipped level curves.  The contradictions are
+read from per-KB cap tables (``KnowledgeBase.cap_layers``) and the output
+curve is assembled from slices of cached level curves; both give exactly
+what a per-contradiction, per-grid-point walk gives.
 """
 from __future__ import annotations
 
@@ -12,6 +15,8 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import ge, mul
 from typing import Callable
 
 from .kb.model import (
@@ -81,22 +86,61 @@ def dnf_necessity(dnf: Dnf, grades, ops: FuzzyOperatorSet) -> float:
     return acc
 
 
-def necessity_update(nec: float, supports, attackers) -> float:
-    """Possibilistic update of one proposition's necessity.
-
-    The union over supporting necessities is a max (including the current
-    value); every attacker Q intersects in a cap of ``1 - Nec(Q)``.
-    """
-    value = nec
-    for s in supports:
-        value = max(value, s)
-    for a in attackers:
-        value = min(value, 1.0 - a)
-    return value
-
-
 def initial_necessities(kb: KnowledgeBase, grades, ops: FuzzyOperatorSet) -> dict[str, float]:
     return {label: dnf_necessity(rule.antecedent, grades, ops) for label, rule in kb.rules.items()}
+
+
+# One target's attackers in a layer: the target's label and the slots of
+# the layer's attacker necessities that reach it.
+Cap = tuple[str, tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class CapLayer:
+    """One contradiction layer compiled for the possibilistic update.
+
+    ``antecedents`` are the layer's distinct antecedents, each a rule label
+    or DNF premises; the first slots of the layer's attacker necessities
+    are theirs.  ``held`` pairs an antecedent's index with the label of an
+    attacker that some contradiction targets, whose necessity is its
+    antecedent's capped by its own ``contra_cap``; the held attackers take
+    the slots after the antecedents.  ``rule_caps`` and
+    ``contradiction_caps`` list every target of the layer, in the order the
+    layer first attacks it, with the slots of the attackers that reach it.
+    """
+
+    antecedents: tuple[str | Dnf, ...]
+    held: tuple[tuple[int, str], ...]
+    rule_caps: tuple[Cap, ...]
+    contradiction_caps: tuple[Cap, ...]
+
+
+def compile_caps(kb: KnowledgeBase) -> tuple[CapLayer, ...]:
+    """``kb.layers`` as cap tables, one per layer, for ``resolve_possibility``."""
+    targeted = {t for c in kb.contradictions.values() for t in c.contradiction_targets}
+    compiled = []
+    for layer in kb.layers:
+        antecedents: dict[str | Dnf, int] = {}
+        sources = [antecedents.setdefault(e.rule if e.premises is None else e.premises,
+                                          len(antecedents)) for e in layer]
+        held: list[tuple[int, str]] = []
+        slots = []
+        for e, i in zip(layer, sources):
+            if e.label in targeted:
+                held.append((i, e.label))
+                slots.append(len(antecedents) + len(held) - 1)
+            else:
+                slots.append(i)
+        caps: tuple[dict, dict] = ({}, {})
+        for e, slot in zip(layer, slots):
+            for by_target, targets in zip(caps, (e.rule_targets, e.contradiction_targets)):
+                for t in targets:
+                    by_target.setdefault(t, {})[slot] = None
+        rule_caps, contradiction_caps = (
+            tuple((t, tuple(attackers)) for t, attackers in by_target.items())
+            for by_target in caps)
+        compiled.append(CapLayer(tuple(antecedents), tuple(held), rule_caps, contradiction_caps))
+    return tuple(compiled)
 
 
 def resolve_possibility(
@@ -107,25 +151,28 @@ def resolve_possibility(
 ) -> dict[str, float]:
     """Shrink rule necessities through the contradiction precedence graph.
 
-    Layers run root to leaf.  A layer first takes the necessity of each of
-    its contradictions from the state at layer entry (a rule antecedent reads
-    the rule's current necessity, premises their static grade, each capped by
-    the contradictions that attack it), then applies all their caps, so
-    cyclic or incomparable contradictions are solved simultaneously.
+    Layers run root to leaf, over the cap tables ``kb.cap_layers``.  A layer
+    first takes the necessity of each distinct antecedent from the state at
+    layer entry (a rule label reads the rule's current necessity, premises
+    their static grade), each attacker's capped at 1, or, when the attacker
+    is itself a target, at the cap the contradictions attacking it left.
+    It then applies one cap ``1 - max q`` per target, so cyclic or
+    incomparable contradictions are solved simultaneously.  That single cap
+    equals one cap ``1 - q`` per attacker, because ``min`` is exact and
+    ``1.0 - q`` does not increase with ``q``.
     """
     rule_nec = dict(necessities)
-    contra_cap = dict.fromkeys(kb.contradictions, 1.0)
-    for layer in kb.layers:
-        layer_nec = [
-            min(rule_nec[e.rule] if e.premises is None
-                else dnf_necessity(e.premises, grades, ops), contra_cap[e.label])
-            for e in layer
-        ]
-        for e, q in zip(layer, layer_nec):
-            for target in e.rule_targets:
-                rule_nec[target] = necessity_update(rule_nec[target], (), (q,))
-            for target in e.contradiction_targets:
-                contra_cap[target] = min(contra_cap[target], 1.0 - q)
+    contra_cap: dict[str, float] = {}
+    for layer in kb.cap_layers:
+        vals = [rule_nec[a] if a.__class__ is str else dnf_necessity(a, grades, ops)
+                for a in layer.antecedents]
+        qs = [min(v, 1.0) for v in vals]
+        qs += [min(vals[i], contra_cap.get(label, 1.0)) for i, label in layer.held]
+        for target, attackers in layer.rule_caps:
+            rule_nec[target] = min(rule_nec[target], 1.0 - max([qs[i] for i in attackers]))
+        for target, attackers in layer.contradiction_caps:
+            contra_cap[target] = min(contra_cap.get(target, 1.0),
+                                     1.0 - max([qs[i] for i in attackers]))
     return rule_nec
 
 
@@ -139,14 +186,19 @@ def apply_rule_weights(necessities: dict[str, float], kb: KnowledgeBase) -> dict
 
 _GRID = tuple(i / (DEFAULT_RESOLUTION - 1) for i in range(DEFAULT_RESOLUTION))
 
+# Grid segments this short, where no level dominates, are maximised point by
+# point instead of being halved further.
+_LEAF = 16
+
 
 @lru_cache(maxsize=128)
 def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     """Membership of every grid point in one level function, with the part
     before its first maximum and the rest reversed, both ascending.  Keyed
     by the function's value, so equal functions of different KBs share a
-    curve.  Clipping by bisection needs a unimodal curve, which every fmf
-    shape gives; a curve that is not raises ``KbValidationError``."""
+    curve.  Clipping by bisection and bounding by endpoints need a unimodal
+    curve, which every fmf shape gives; a curve that is not raises
+    ``KbValidationError``."""
     curve = tuple(map(fmf, _GRID))
     peak = curve.index(max(curve))
     left, rrev = curve[:peak], curve[peak:][::-1]
@@ -156,14 +208,62 @@ def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[
     return curve, left, rrev
 
 
-def _clip(fmf: Fmf, truth: float) -> tuple[float, ...]:
-    """``min(truth, c)`` at every point ``c`` of the level curve.  ``min``
-    keeps ``truth`` exactly where ``c >= truth``, which on a unimodal curve
-    is the run ``[a, b)`` that bisecting its two ascending halves finds."""
+# A level clipped at its truth: (curve, index of its first maximum, truth,
+# a, b), where ``[a, b)`` is the run of grid points at which the curve
+# reaches the truth.
+ClippedLevel = tuple[tuple[float, ...], int, float, int, int]
+
+
+def _clipped_level(fmf: Fmf, truth: float) -> ClippedLevel:
+    """``min(truth, c)`` keeps ``truth`` exactly where ``c >= truth``, which
+    on a unimodal curve is the run that bisecting its two ascending halves
+    finds; everywhere else it keeps the curve."""
     curve, left, rrev = _level_curve(fmf)
-    a = bisect_left(left, truth)
-    b = len(curve) - bisect_left(rrev, truth)
-    return curve[:a] + (truth,) * (b - a) + curve[b:]
+    return (curve, len(left), truth, bisect_left(left, truth),
+            len(curve) - bisect_left(rrev, truth))
+
+
+def _slice(level: ClippedLevel, p: int, q: int) -> tuple[float, ...]:
+    """The clipped level on grid points ``[p, q)``."""
+    curve, _peak, truth, a, b = level
+    a, b = min(max(a, p), q), min(max(b, p), q)
+    return curve[p:a] + (truth,) * (b - a) + curve[b:q]
+
+
+def _envelope(levels: list[ClippedLevel]) -> tuple[float, ...]:
+    """The pointwise max of clipped levels, assembled from slices.
+
+    On a grid segment each clipped level is unimodal, so its least value is
+    at an endpoint and its greatest at an endpoint or at the curve's peak.
+    A level whose greatest value is below another's least is dropped there;
+    where one level's least value is at or above every other's greatest,
+    the segment is that level's slice.  Otherwise the segment is halved,
+    down to ``_LEAF`` points, which are maximised point by point.  ``max``
+    returns one of its arguments, so every point equals the per-point max.
+    """
+    pieces = []
+    segments = [(0, len(_GRID), levels)]
+    while segments:
+        p, q, candidates = segments.pop()
+        last = q - 1
+        lows, highs = [], []
+        for curve, peak, t, _a, _b in candidates:
+            first, end = curve[p], curve[last]
+            lows.append(min(t, first, end))
+            highs.append(min(t, curve[peak] if p <= peak < q else max(first, end)))
+        floor = max(lows)
+        top = lows.index(floor)
+        if max(highs[:top] + highs[top + 1:], default=floor) <= floor:
+            pieces.append(_slice(candidates[top], p, q))
+            continue
+        kept = [level for level, hi in zip(candidates, highs) if hi >= floor]
+        if q - p <= _LEAF:
+            pieces.append(map(max, *(_slice(level, p, q) for level in kept)))
+        else:
+            mid = (p + q) // 2
+            segments.append((mid, q, kept))
+            segments.append((p, mid, kept))
+    return tuple(chain.from_iterable(pieces))
 
 
 def aggregate_levels(
@@ -172,29 +272,33 @@ def aggregate_levels(
     variant: str = "triangular",
 ) -> AggregatedFuzzySet:
     """Disjunctive aggregation: level truth = max over rules inferring it;
-    the output curve is the pointwise max of level functions clipped there."""
+    the output curve is the pointwise max of level functions clipped there,
+    built from slices of the cached level curves.  A level of truth 0 is
+    left out: clipped, it is 0 everywhere, and every curve is at least 0."""
     truths = {level: 0.0 for level in kb.trust_levels}
     for label, nec in necessities.items():
         level = kb.rules[label].consequent_level
         truths[level] = max(truths[level], nec)
-    clipped = [_clip(tl.fmf(variant), truths[level]) for level, tl in kb.trust_levels.items()]
-    mu = clipped[0] if len(clipped) == 1 else tuple(map(max, *clipped))
+    levels = [_clipped_level(tl.fmf(variant), truths[level])
+              for level, tl in kb.trust_levels.items() if truths[level] > 0.0]
+    mu = _envelope(levels) if levels else (0.0,) * len(_GRID)
     return AggregatedFuzzySet(level_truths=truths, xs=_GRID, mu=mu)
 
 
 def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
     """Centroid or mean-of-max of the aggregated curve; a flat zero curve
-    defuzzifies to no value."""
+    defuzzifies to no value.  Both sum over the grid left to right, the
+    centroid every ``x * mu`` and ``mu``, mean-of-max the points within
+    ``MAX_TIE_EPS`` of the peak."""
+    if method not in ("centroid", "mean_of_max"):
+        raise ValueError(f"unknown defuzzification method {method!r}")
     peak = max(agg.mu, default=0.0)
     if peak <= 0.0:
         return None
     if method == "centroid":
-        area = sum(agg.mu)
-        return sum(x * m for x, m in zip(agg.xs, agg.mu)) / area
-    if method == "mean_of_max":
-        top = [x for x, m in zip(agg.xs, agg.mu) if m >= peak - MAX_TIE_EPS]
-        return sum(top) / len(top)
-    raise ValueError(f"unknown defuzzification method {method!r}")
+        return sum(map(mul, agg.xs, agg.mu)) / sum(agg.mu)
+    top = list(compress(agg.xs, map(ge, agg.mu, repeat(peak - MAX_TIE_EPS))))
+    return sum(top) / len(top)
 
 
 def resolved_necessities(kb: KnowledgeBase, grades, operator: str) -> dict[str, float]:

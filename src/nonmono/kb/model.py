@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..argumentation import ArgumentationFramework
+    from ..fuzzy import CapLayer
 
 __all__ = [
     "Fmf",
@@ -217,8 +218,9 @@ class Contradiction:
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Features, trust levels, rules and contradictions.  The structures
-    derived from them (contradiction layers, argumentation framework, rule
-    weights) are built on first use and kept with the knowledge base."""
+    derived from them (contradiction layers, their possibilistic cap tables,
+    argumentation framework, rule weights) are built on first use and kept
+    with the knowledge base."""
 
     id: str
     features: dict[str, Feature]
@@ -282,6 +284,12 @@ class KnowledgeBase:
     @cached_property
     def layers(self) -> tuple[tuple[Contradiction, ...], ...]:
         return contradiction_graph(self)
+
+    @cached_property
+    def cap_layers(self) -> tuple[CapLayer, ...]:
+        from .. import fuzzy  # fuzzy imports this module
+
+        return fuzzy.compile_caps(self)
 
     @cached_property
     def framework(self) -> ArgumentationFramework:

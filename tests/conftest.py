@@ -74,3 +74,12 @@ contradiction A: IF f is on THEN NOT rule S, B
 contradiction B: IF rule R THEN NOT rule T
 """
     return parse_kb(src).kb
+
+
+def attackers_of(af) -> dict[str, tuple[str, ...]]:
+    """Every argument's attackers, in attack order: the incidence the
+    test oracles read."""
+    inc: dict[str, list[str]] = {a: [] for a in af.arguments}
+    for src, tgt in af.attacks:
+        inc[tgt].append(src)
+    return {a: tuple(v) for a, v in inc.items()}

@@ -11,6 +11,7 @@ from nonmono import argumentation as arg
 from nonmono import expert, fuzzy
 from nonmono.cli import main
 from nonmono.evaluation import MODEL_REGISTRY, rank_of_barnstars, run_matrix, spread
+from nonmono.kb import parse_kb
 from nonmono.kb.model import KnowledgeBase
 from test_semantics_oracle import run_oracle
 
@@ -20,14 +21,34 @@ def report(number, ok, text):
     assert ok, f"criterion {number}: {text}"
 
 
+EQ1_KB = """
+feature f weight 1 domain [0.0, 1.0] {
+    term on = [0.0, 1.0] fmf crisp(0.0, 1.0)
+}
+feature g weight 1 domain [0.0, 1.0] {
+    term on = [0.0, 1.0] fmf crisp(0.0, 1.0)
+}
+trustlevel low = [0.0, 0.5] fmf crisp(0.0, 0.5)
+trustlevel high = [0.5, 1.0] fmf crisp(0.5, 1.0)
+rule R: IF f is on THEN trust is high
+rule S: IF f is on THEN trust is high
+contradiction C: IF g is on THEN NOT rule R, S
+"""
+
+
 def test_criterion_1_worked_example_parity(kb1):
     t0 = time.perf_counter()
     v_low = expert.rule_value(0.75, 0.75, 1.0, 0.75, 1.0)
     v_high = expert.rule_value(1.0, 0.75, 1.0, 0.75, 1.0)
-    eq1 = fuzzy.necessity_update(0.3, [0.4], [0.2])
+    ops = fuzzy.OPERATORS["zadeh"]
+    # the possibilistic update of necessity 0.3 with a support of 0.4 and an
+    # attacker of 0.2: the support is a second rule inferring the same
+    # level, and the attacker a contradiction that caps both rules
+    eq_kb = parse_kb(EQ1_KB).kb
+    capped = fuzzy.resolve_possibility(eq_kb, {"R": 0.3, "S": 0.4}, {("g", "on"): 0.2}, ops)
+    eq1 = fuzzy.aggregate_levels(capped, eq_kb).level_truths["high"]
     fv = dict(pages=17, activity=1, anonymous=1, not_minor=0.5, comments=0.1,
               presence=0.5, frequency=0.5, regularity=0.5, bytes=0)
-    ops = fuzzy.OPERATORS["zadeh"]
     grades = fuzzy.fuzzify(fv, kb1)
     necs = fuzzy.initial_necessities(kb1, grades, ops)
     refuted = fuzzy.resolve_possibility(kb1, necs, grades, ops)["U2"]

@@ -6,6 +6,7 @@ import traceback
 
 import pytest
 
+from conftest import attackers_of
 from nonmono import argumentation as arg
 from nonmono import expert
 from nonmono.kb import parse_kb
@@ -161,7 +162,7 @@ def _three_way_complete(af):
     """The earlier enumeration, kept as an order oracle: each argument of
     the sorted grounded-undec region is branched over in/out/undec (in only
     while no attacker is in yet) and each total labelling is checked."""
-    attackers = af.attackers()
+    attackers = attackers_of(af)
     base = arg.grounded(af).labels
     region = sorted(a for a, l in base.items() if l == arg.UNDEC)
     results = []
@@ -242,7 +243,7 @@ def test_categoriser_residual():
     af = toy_af({c: 1 for c in "ABCDE"},
                 [("A", "B"), ("B", "A"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "C")])
     scores = arg.categoriser(af)
-    attackers = af.attackers()
+    attackers = attackers_of(af)
     for a, s in scores.items():
         expected = 1.0 if not attackers[a] else 1.0 / (1.0 + sum(scores[b] for b in attackers[a]))
         assert abs(s - expected) < 1e-9
@@ -252,7 +253,7 @@ def test_categoriser_residual():
 def _dict_categoriser(af):
     """The earlier categoriser, kept as an order oracle: damped Jacobi that
     rebuilds a dict over every argument each round."""
-    attackers = af.attackers()
+    attackers = attackers_of(af)
 
     def apply(scores):
         return {
@@ -273,7 +274,7 @@ def _dict_categoriser(af):
 def _fixpoint_grounded(af):
     """The earlier grounded labelling, kept as an order oracle: passes over
     every unlabelled argument until none changes."""
-    attackers = af.attackers()
+    attackers = attackers_of(af)
     labels = {}
     changed = True
     while changed:

@@ -76,10 +76,6 @@ def test_gaussian_variant_selected(kb1):
     assert fuzzy.fuzzify(fv, kb1, "gaussian")[("comments", "high")] == pytest.approx(0.5)
 
 
-def test_necessity_update_conformance():
-    assert fuzzy.necessity_update(0.3, [0.4], [0.2]) == pytest.approx(0.4)
-
-
 def test_full_refutation(kb1):
     fv = dict(pages=17, activity=1, anonymous=1, not_minor=0.5, comments=0.1,
               presence=0.5, frequency=0.5, regularity=0.5, bytes=0)
@@ -113,11 +109,15 @@ def test_mixed_targets_cap_rule_and_contradiction(mixed_kb):
     assert resolved == {"R": 0.9, "S": 1.0 - 0.3, "T": 1.0 - (1.0 - 0.3)}
 
 
-@given(nec=unit, attackers=st.lists(unit, max_size=4))
-def test_attacks_never_increase_necessity(nec, attackers):
-    updated = fuzzy.necessity_update(nec, [], attackers)
-    assert updated <= nec + 1e-15
-    assert 0.0 <= updated <= 1.0
+@given(data=st.data())
+def test_attacks_never_increase_necessity(kb1, kb2, mixed_kb, data):
+    for kb in (kb1, kb2, mixed_kb):
+        grades = {premise: data.draw(unit) for premise in kb.terms}
+        necs = {label: data.draw(unit) for label in kb.rules}
+        for ops in fuzzy.OPERATORS.values():
+            resolved = fuzzy.resolve_possibility(kb, necs, grades, ops)
+            assert list(resolved) == list(necs)
+            assert all(0.0 <= resolved[label] <= necs[label] for label in necs)
 
 
 def test_resolution_idempotent_on_acyclic(kb1, feature_vectors):
@@ -128,6 +128,74 @@ def test_resolution_idempotent_on_acyclic(kb1, feature_vectors):
         once = fuzzy.resolve_possibility(kb1, necs, grades, ops)
         twice = fuzzy.resolve_possibility(kb1, once, grades, ops)
         assert twice == once
+
+
+def _per_contradiction_resolve(kb, necessities, grades, ops):
+    """The earlier possibilistic layer, kept as an oracle: each layer takes
+    every contradiction's necessity at layer entry, then caps each of its
+    targets at ``1 - q``, one contradiction at a time."""
+    rule_nec = dict(necessities)
+    contra_cap = dict.fromkeys(kb.contradictions, 1.0)
+    for layer in kb.layers:
+        layer_nec = [
+            min(rule_nec[e.rule] if e.premises is None
+                else fuzzy.dnf_necessity(e.premises, grades, ops), contra_cap[e.label])
+            for e in layer
+        ]
+        for e, q in zip(layer, layer_nec):
+            for target in e.rule_targets:
+                rule_nec[target] = min(rule_nec[target], 1.0 - q)
+            for target in e.contradiction_targets:
+                contra_cap[target] = min(contra_cap[target], 1.0 - q)
+    return rule_nec
+
+
+# A MUTEX pair whose twin M.a is itself targeted, a two-contradiction cycle
+# (X, Y) whose members also cap rules, a repeated premise antecedent (P, Q)
+# and a group mixing a rule and a contradiction
+CYCLE_KB = """
+feature f weight 2 domain [0.0, 1.0] {
+    term lo = [0.0, 0.5] fmf triangular(0.0, 0.0, 0.5)
+    term hi = [0.5, 1.0] fmf triangular(0.5, 1.0, 1.0)
+}
+feature g weight 5 domain [0.0, 1.0] {
+    term lo = [0.0, 0.5] fmf triangular(0.0, 0.0, 0.5)
+    term hi = [0.5, 1.0] fmf triangular(0.5, 1.0, 1.0)
+}
+trustlevel low = [0.0, 0.5] fmf triangular(0.0, 0.0, 0.5)
+trustlevel high = [0.5, 1.0] fmf triangular(0.5, 1.0, 1.0)
+rule R1: IF f is hi THEN trust is high
+rule R2: IF g is lo THEN trust is low
+rule R3: IF f is lo AND g is hi THEN trust is high
+rule R4: IF f is hi OR g is hi THEN trust is high
+rule R5: IF g is hi THEN trust is low
+group G = { R3, P }
+contradiction M: rule R1 MUTEX rule R2
+contradiction P: IF f is hi AND g is lo OR g is hi THEN NOT rule R3
+contradiction Q: IF f is hi AND g is lo OR g is hi THEN NOT rule R4, R1
+contradiction X: IF rule R5 THEN NOT contradiction Y, R4
+contradiction Y: IF g is lo THEN NOT contradiction X, R1
+contradiction Z: IF rule R4 THEN NOT contradiction M.a
+contradiction W: IF f is lo THEN NOT group G
+contradiction V: IF rule R3 THEN NOT rule R5, R2
+"""
+
+
+def test_resolve_possibility_equals_per_contradiction_walk(kb1, kb2, mixed_kb):
+    cycle_kb = parse_kb(CYCLE_KB).kb
+    assert any(layer.held for layer in cycle_kb.cap_layers)
+    rng = random.Random(20101)
+    for kb in (kb1, kb2, mixed_kb, cycle_kb):
+        for trial in range(60):
+            # shared values make attackers tie; 0.0 and 1.0 are the extremes
+            pool = (0.0, 1.0, rng.random(), rng.random())
+            draw = (lambda: rng.choice(pool)) if trial % 2 else rng.random
+            grades = {premise: draw() for premise in kb.terms}
+            necs = {label: draw() for label in kb.rules}
+            for ops in fuzzy.OPERATORS.values():
+                resolved = fuzzy.resolve_possibility(kb, necs, grades, ops)
+                oracle = _per_contradiction_resolve(kb, necs, grades, ops)
+                assert list(resolved.items()) == list(oracle.items())
 
 
 def test_apply_rule_weights(kb1):
@@ -171,6 +239,15 @@ def test_aggregate_levels_zero_curve(kb1):
     assert max(agg.mu) == 0.0
     assert fuzzy.defuzzify(agg, "centroid") is None
     assert fuzzy.defuzzify(agg, "mean_of_max") is None
+
+
+def test_defuzzify_rejects_unknown_method(kb1):
+    flat = fuzzy.AggregatedFuzzySet({}, fuzzy._GRID, (0.0,) * fuzzy.DEFAULT_RESOLUTION)
+    peaked = fuzzy.aggregate_levels({"AN1": 0.7}, kb1)
+    assert max(peaked.mu) > 0.0
+    for agg in (flat, peaked):
+        with pytest.raises(ValueError, match="unknown defuzzification method 'bogus'"):
+            fuzzy.defuzzify(agg, "bogus")
 
 
 def test_aggregate_levels_unclipped(kb1):
@@ -219,7 +296,82 @@ def test_aggregate_levels_equals_grid_walk(request, kb_name, variant):
         assert agg.xs == walk.xs
         assert agg.mu == walk.mu
         for method in ("centroid", "mean_of_max"):
-            assert fuzzy.defuzzify(agg, method) == fuzzy.defuzzify(walk, method)
+            assert fuzzy.defuzzify(agg, method) == _walk_defuzzify(walk, method)
+
+
+def _walk_defuzzify(agg, method):
+    """The earlier defuzzification, kept as an oracle: generator sums over
+    the grid, left to right."""
+    peak = max(agg.mu, default=0.0)
+    if peak <= 0.0:
+        return None
+    if method == "centroid":
+        area = sum(agg.mu)
+        return sum(x * m for x, m in zip(agg.xs, agg.mu)) / area
+    top = [x for x, m in zip(agg.xs, agg.mu) if m >= peak - fuzzy.MAX_TIE_EPS]
+    return sum(top) / len(top)
+
+
+def _random_fmf(rng):
+    shape = rng.choice(("triangular", "trapezoidal", "crisp", "gaussian"))
+    if shape == "gaussian":
+        return f"gaussian({rng.uniform(-0.1, 1.1)!r}, {rng.uniform(0.02, 0.5)!r})"
+    arity = {"triangular": 3, "trapezoidal": 4, "crisp": 2}[shape]
+    # rounded points fall on grid points and repeat one another
+    points = sorted(round(rng.uniform(-0.1, 1.1), rng.choice((2, 3, 17))) for _ in range(arity))
+    return f"{shape}({', '.join(map(repr, points))})"
+
+
+def _random_level_kb(rng):
+    """1-6 levels of mixed shapes, one rule each; some repeat an earlier
+    level's function, and some are a wide low trapezoid with a narrow tall
+    triangle or gaussian inside it, whose clipped curves cross twice."""
+    k = rng.randint(1, 6)
+    fmfs = []
+    while len(fmfs) < k:
+        roll = rng.random()
+        if roll < 0.15 and k - len(fmfs) >= 2:
+            c = rng.uniform(0.2, 0.8)
+            fmfs.append(f"trapezoidal({c - 0.5!r}, {c - 0.3!r}, {c + 0.3!r}, {c + 0.5!r})")
+            fmfs.append(rng.choice((f"triangular({c - 0.05!r}, {c!r}, {c + 0.07!r})",
+                                    f"gaussian({c + 0.01!r}, 0.03)")))
+        elif roll < 0.25 and fmfs:
+            fmfs.append(rng.choice(fmfs))
+        else:
+            fmfs.append(_random_fmf(rng))
+    lines = ["feature f weight 1 domain [0.0, 1.0] {",
+             "    term on = [0.0, 1.0] fmf crisp(0.0, 1.0)", "}"]
+    for i, fmf in enumerate(fmfs):
+        lines.append(f"trustlevel L{i} = [{i / k!r}, {(i + 1) / k!r}] fmf {fmf}")
+        lines.append(f"rule R{i}: IF f is on THEN trust is L{i}")
+    return parse_kb("\n".join(lines)).kb
+
+
+def test_aggregate_levels_envelope_on_random_level_sets():
+    rng = random.Random(20102)
+    for _ in range(60):
+        kb = _random_level_kb(rng)
+        labels = list(kb.rules)
+        grid_values = sorted({m for tl in kb.trust_levels.values()
+                              for m in map(tl.fmf(), fuzzy._GRID)})
+        shared = rng.random()
+        draws = [
+            lambda: {label: 0.0 for label in labels},
+            lambda: {label: shared for label in labels},
+            lambda: {label: rng.choice(grid_values) for label in labels},
+            lambda: {label: rng.choice((0.0, 1.0, rng.random())) for label in labels},
+            lambda: dict.fromkeys(labels, 0.0) | {rng.choice(labels): rng.random()},
+            lambda: {label: rng.random() for label in labels},
+            lambda: {label: rng.choice((0.4, 1.0)) for label in labels},
+        ]
+        for draw in draws:
+            necs = draw()
+            agg = fuzzy.aggregate_levels(necs, kb)
+            walk = _grid_walk(necs, kb, "triangular")
+            assert list(agg.level_truths.items()) == list(walk.level_truths.items())
+            assert agg.mu == walk.mu
+            for method in ("centroid", "mean_of_max"):
+                assert fuzzy.defuzzify(agg, method) == _walk_defuzzify(walk, method)
 
 
 def test_level_curve_must_be_unimodal():
@@ -231,7 +383,10 @@ def test_level_curve_must_be_unimodal():
     curve, left, rrev = fuzzy._level_curve(plateau)
     assert len(left) + len(rrev) == len(curve) == fuzzy.DEFAULT_RESOLUTION
     for truth in (0.0, 0.5, 1.0, 1.5):
-        assert fuzzy._clip(plateau, truth) == tuple(min(truth, m) for m in curve)
+        level = fuzzy._clipped_level(plateau, truth)
+        clipped = tuple(min(truth, m) for m in curve)
+        for p, q in ((0, len(curve)), (0, 1), (100, 400), (240, 260), (600, len(curve))):
+            assert fuzzy._slice(level, p, q) == clipped[p:q]
 
 
 def test_centroid_symmetry(kb1):
@@ -286,8 +441,3 @@ def test_output_in_unit_interval(kb1, kb2, feature_vectors):
                     out = fuzzy.defuzzify(agg, method)
                     assert out is None or 0.0 <= out <= 1.0
 
-
-def test_general_update_with_supports():
-    # support path of the possibilistic update, exercised only here
-    assert fuzzy.necessity_update(0.1, [0.3, 0.6], []) == pytest.approx(0.6)
-    assert fuzzy.necessity_update(0.9, [0.2], [0.3, 0.05]) == pytest.approx(0.7)

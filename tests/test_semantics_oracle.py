@@ -9,6 +9,7 @@ structural inclusion properties.
 import itertools
 import random
 
+from conftest import attackers_of
 from nonmono import argumentation as arg
 
 
@@ -26,7 +27,7 @@ def random_af(rng: random.Random, n: int, p: float = 0.3):
 
 def brute_force_labellings(af):
     names = sorted(af.arguments)
-    attackers = af.attackers()
+    attackers = attackers_of(af)
     out = []
     for combo in itertools.product(("in", "out", "undec"), repeat=len(names)):
         labels = dict(zip(names, combo))
