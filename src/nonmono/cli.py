@@ -18,10 +18,12 @@ from .evaluation import read_trust_csv
 from .ingest import (
     WIKI_START_DEFAULT,
     DumpParseError,
-    extract_features,
+    accumulate,
+    finalize,
     parse_timestamp,
     read_barnstars,
     read_features_csv,
+    stream_revisions,
     write_features_csv,
 )
 from .kb.parser import BUILTIN_IDS, load_builtin, parse_kb
@@ -50,6 +52,20 @@ def _as_user_error(fn, *args, errors=_INPUT_ERRORS):
         raise UserError(e.args[0] if isinstance(e, KeyError) else str(e)) from None
 
 
+def _open_dump(path: Path):
+    """The dump as a binary stream, decompressed when it starts with the
+    gzip or the bzip2 magic bytes."""
+    with open(path, "rb") as fh:
+        magic = fh.read(3)
+    if magic.startswith(b"\x1f\x8b"):
+        import gzip
+        return gzip.open(path, "rb")
+    if magic == b"BZh":
+        import bz2
+        return bz2.open(path, "rb")
+    return open(path, "rb")
+
+
 def cmd_extract(args) -> int:
     dump = Path(args.dump)
     if not dump.is_file():
@@ -63,14 +79,17 @@ def cmd_extract(args) -> int:
     if args.window_days < 1:
         raise UserError(f"--window-days must be 1 or more, not {args.window_days}")
     try:
-        with open(dump, "rb") as fh:
-            features = extract_features(fh, dump_instant=dump_instant,
-                                        wiki_start_instant=wiki_start,
-                                        window_days=args.window_days)
-    except (OSError, DumpParseError) as e:
+        with _open_dump(dump) as fh:
+            revisions = stream_revisions(fh)
+            editors = accumulate(revisions, dump_instant, args.window_days)
+    except (OSError, EOFError, DumpParseError) as e:
+        # a truncated compressed dump raises EOFError
         raise UserError(str(e)) from None
+    features = [finalize(editors[e], dump_instant, wiki_start, args.window_days)
+                for e in sorted(editors)]
     _as_user_error(write_features_csv, features, args.out, errors=OSError)
-    print(f"{len(features)} editors")
+    print(f"{len(features)} editors, {sum(f.activity for f in features)} revisions, "
+          f"{revisions.skipped} skipped")
     return 0
 
 

@@ -293,11 +293,11 @@ def run_matrix(
     by the models that agree on it.  ``jobs > 1`` starts that many worker
     processes (at most one per editor); they take contiguous chunks of
     editors, about ``CHUNKS_PER_WORKER`` each, as they become free, and run
-    every selected model over them.  The KB structures the selected engines
-    read are built before the workers start, which inherit them.  The output,
-    including its registry order, depends on neither ``jobs`` nor which
-    other models are selected.  One WARNING lists the models whose rank or
-    spread is undefined.
+    every selected model over them.  The KB structures and the fuzzy level
+    curves the selected models read are built before the workers start,
+    which inherit them.  The output, including its registry order, depends
+    on neither ``jobs`` nor which other models are selected.  One WARNING
+    lists the models whose rank or spread is undefined.
     """
     selected = select_models(model_filter)
     n = len(features)
@@ -305,8 +305,11 @@ def run_matrix(
     if workers > 1 and selected:
         for config in selected:
             kb = kb_set[config.kb_id]
-            _ = (kb.framework if config.engine == "argumentation"
-                 else kb.cap_layers if config.engine == "fuzzy" else kb.layers)
+            if config.engine == "fuzzy":
+                _ = kb.cap_layers
+                fuzzy.warm_level_curves(kb, config.fmf_variant)
+            else:
+                _ = kb.framework if config.engine == "argumentation" else kb.layers
         size = max(1, n // (workers * CHUNKS_PER_WORKER))
         chunks = [features[i:i + size] for i in range(0, n, size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

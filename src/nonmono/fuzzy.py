@@ -208,6 +208,13 @@ def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[
     return curve, left, rrev
 
 
+def warm_level_curves(kb: KnowledgeBase, variant: str) -> None:
+    """Build the cached curves of ``kb``'s level functions under
+    ``variant``, so that worker processes forked afterwards inherit them."""
+    for tl in kb.trust_levels.values():
+        _level_curve(tl.fmf(variant))
+
+
 # A level clipped at its truth: (curve, index of its first maximum, truth,
 # a, b), where ``[a, b)`` is the run of grid points at which the curve
 # reaches the truth.

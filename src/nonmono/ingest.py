@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 from xml.parsers import expat
 
 log = logging.getLogger(__name__)
@@ -34,8 +34,7 @@ class DumpParseError(ValueError):
         super().__init__(f"{message} (byte offset {byte_offset})")
 
 
-@dataclass(frozen=True)
-class RevisionRecord:
+class RevisionRecord(NamedTuple):
     page_id: str
     revision_id: str
     timestamp: datetime
@@ -53,105 +52,119 @@ def parse_timestamp(text: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-class _RevisionHandler:
-    """Expat callbacks collecting completed revision records."""
+# The slots of a revision being read, then what else an element may set or
+# open.  Per context, a table maps element names to these.  Text fields and
+# contexts are read from direct children only; <page> opens anywhere outside
+# a page, and <minor>, <text> and a deleted <contributor> count anywhere in
+# a revision.
+(_ID, _TIMESTAMP, _EDITOR, _COMMENT, _ANONYMOUS, _MINOR, _BYTES, _DELETED,
+ _PAGE_ID, _PAGE, _REVISION) = range(11)
+_OUTSIDE_FIELDS = {"page": _PAGE}
+_PAGE_FIELDS = {"id": _PAGE_ID, "revision": _REVISION}
+_REVISION_FIELDS = {"id": _ID, "timestamp": _TIMESTAMP, "comment": _COMMENT,
+                    "username": _EDITOR, "ip": _EDITOR, "minor": _MINOR,
+                    "text": _BYTES, "contributor": _DELETED}
+# a contributor's own <id> is not the revision's
+_CONTRIBUTOR_FIELDS = {k: v for k, v in _REVISION_FIELDS.items() if k != "id"}
 
-    def __init__(self):
-        self.stack: list[str] = []
+
+class _RevisionHandler:
+    """Expat callbacks collecting completed revision records.  ``_fields``
+    is the context's table and ``_depth`` counts the elements open below
+    the context's element.  Character data reaches Python only while a
+    text field is captured, when ``_field_end`` takes the end events."""
+
+    def __init__(self, parser):
+        self._parser = parser
         self.ready: deque[RevisionRecord] = deque()
         self.skipped = 0
         self.page_id: str | None = None
-        self.rev: dict | None = None
-        self.text_parts: list[str] = []
-        self.capture: str | None = None
+        self._rev: list = []
+        self._fields = _OUTSIDE_FIELDS
+        self._depth = self._slot = self._field_depth = 0
+        self._parts: list[str] = []
+        parser.StartElementHandler = self._start
+        parser.EndElementHandler = self._end
 
-    def start(self, name, attrs):
-        self.stack.append(name)
-        parent = self.stack[-2] if len(self.stack) >= 2 else None
-        if name == "page":
+    def _start(self, name, attrs):
+        self._depth += 1
+        slot = self._fields.get(name)
+        if slot is None:
+            return
+        rev = self._rev
+        if slot == _MINOR:
+            rev[_MINOR] = True
+        elif slot == _BYTES:
+            try:
+                rev[_BYTES] = int(attrs["bytes"])
+            except (KeyError, ValueError):
+                if rev[_BYTES] is None:
+                    self._capture(_BYTES)
+        elif slot == _DELETED:  # <contributor>
+            if attrs.get("deleted"):
+                rev[_DELETED] = True
+            if self._depth == 1 and self._fields is _REVISION_FIELDS:
+                self._fields, self._depth = _CONTRIBUTOR_FIELDS, 0
+        elif slot == _PAGE:
             self.page_id = None
-        elif name == "revision" and parent == "page":
-            self.rev = {
-                "id": None, "timestamp": None, "editor": None, "anonymous": False,
-                "comment": False, "minor": False, "bytes": None, "deleted": False,
-            }
-        elif self.rev is not None:
-            if name == "minor":
-                self.rev["minor"] = True
-            elif name == "text":
-                if "bytes" in attrs:
-                    try:
-                        self.rev["bytes"] = int(attrs["bytes"])
-                    except ValueError:
-                        pass
-                self.text_parts = []
-                self.capture = "text"
-            elif name in ("id", "timestamp", "username", "ip", "comment"):
-                # a contributor's nested <id> must not clobber the revision id
-                if name == "id" and parent != "revision":
-                    return
-                if parent in ("revision", "contributor"):
-                    self.text_parts = []
-                    self.capture = name
-            if name == "contributor" and attrs.get("deleted"):
-                self.rev["deleted"] = True
-        elif name == "id" and parent == "page" and self.page_id is None:
-            self.text_parts = []
-            self.capture = "page_id"
+            self._fields, self._depth = _PAGE_FIELDS, 0
+        elif self._depth == 1:
+            if slot == _REVISION:
+                self._rev = [None, None, None, None, False, False, None, False]
+                self._fields, self._depth = _REVISION_FIELDS, 0
+            elif slot != _PAGE_ID or self.page_id is None:
+                if slot == _EDITOR:
+                    rev[_ANONYMOUS] = name == "ip"
+                self._capture(slot)
 
-    def data(self, text):
-        if self.capture is not None:
-            self.text_parts.append(text)
-
-    def end(self, name):
-        captured = "".join(self.text_parts).strip() if self.capture else ""
-        if self.capture == "page_id" and name == "id":
-            self.page_id = captured
-        elif self.rev is not None and self.capture is not None:
-            if name == "id" and self.capture == "id":
-                self.rev["id"] = captured
-            elif name == "timestamp":
-                self.rev["timestamp"] = captured
-            elif name == "username":
-                self.rev["editor"], self.rev["anonymous"] = captured, False
-            elif name == "ip":
-                self.rev["editor"], self.rev["anonymous"] = captured, True
-            elif name == "comment":
-                self.rev["comment"] = bool(captured)
-            elif name == "text" and self.rev["bytes"] is None:
-                self.rev["bytes"] = len(captured.encode("utf-8"))
-        if self.capture == name or (self.capture == "page_id" and name == "id"):
-            self.capture = None
-            self.text_parts = []
-        if name == "revision" and self.rev is not None:
+    def _end(self, name):
+        if self._depth:
+            self._depth -= 1
+        elif self._fields is _CONTRIBUTOR_FIELDS:
+            self._fields = _REVISION_FIELDS
+        elif self._fields is _REVISION_FIELDS:
             self._finish_revision()
-        self.stack.pop()
+            self._fields = _PAGE_FIELDS
+        else:  # </page>, or an element around pages
+            self._fields = _OUTSIDE_FIELDS
+
+    def _capture(self, slot):
+        """Collect the character data of the element just opened."""
+        self._slot, self._field_depth = slot, self._depth - 1
+        self._parts.clear()
+        self._parser.CharacterDataHandler = self._parts.append
+        self._parser.EndElementHandler = self._field_end
+
+    def _field_end(self, name):
+        self._depth -= 1
+        if self._depth != self._field_depth:
+            return
+        text = "".join(self._parts).strip()
+        if self._slot == _PAGE_ID:
+            self.page_id = text
+        elif self._slot == _BYTES:
+            self._rev[_BYTES] = len(text.encode("utf-8"))
+        else:
+            self._rev[self._slot] = text
+        self._parser.CharacterDataHandler = None
+        self._parser.EndElementHandler = self._end
 
     def _finish_revision(self):
-        rev = self.rev
-        self.rev = None
-        if rev["timestamp"] is None or rev["editor"] is None or rev["deleted"]:
+        rev_id, stamp, editor, comment, anonymous, minor, size, deleted = self._rev
+        if stamp is None or editor is None or deleted:
             self.skipped += 1
             log.warning("skipping revision %s of page %s: missing timestamp or contributor",
-                        rev["id"], self.page_id)
+                        rev_id, self.page_id)
             return
         try:
-            ts = parse_timestamp(rev["timestamp"])
+            ts = parse_timestamp(stamp)
         except ValueError:
             self.skipped += 1
             log.warning("skipping revision %s of page %s: bad timestamp %r",
-                        rev["id"], self.page_id, rev["timestamp"])
+                        rev_id, self.page_id, stamp)
             return
-        self.ready.append(RevisionRecord(
-            page_id=self.page_id or "",
-            revision_id=rev["id"] or "",
-            timestamp=ts,
-            editor_id=rev["editor"],
-            anonymous=rev["anonymous"],
-            comment_present=rev["comment"],
-            minor_flag=rev["minor"],
-            page_bytes=max(rev["bytes"] or 0, 0),
-        ))
+        self.ready.append(RevisionRecord(self.page_id or "", rev_id or "", ts, editor,
+                                         anonymous, bool(comment), minor, max(size or 0, 0)))
 
 
 class RevisionStream(Iterator[RevisionRecord]):
@@ -161,12 +174,9 @@ class RevisionStream(Iterator[RevisionRecord]):
 
     def __init__(self, stream: IO[bytes]):
         self._stream = stream
-        self._handler = _RevisionHandler()
         self._parser = expat.ParserCreate()
         self._parser.buffer_text = True
-        self._parser.StartElementHandler = self._handler.start
-        self._parser.EndElementHandler = self._handler.end
-        self._parser.CharacterDataHandler = self._handler.data
+        self._handler = _RevisionHandler(self._parser)
         self._done = False
 
     @property
@@ -217,9 +227,10 @@ class EditorAccumulator:
     def add(self, ts: float, minor: bool, comment: bool, page_id: str, delta: int):
         if self.edit_count == 0:
             self.first_edit = self.last_edit = ts
-        else:
-            self.first_edit = min(self.first_edit, ts)
-            self.last_edit = max(self.last_edit, ts)
+        elif ts < self.first_edit:
+            self.first_edit = ts
+        elif ts > self.last_edit:
+            self.last_edit = ts
         self.edit_count += 1
         if not minor:
             self.not_minor_count += 1
@@ -228,8 +239,10 @@ class EditorAccumulator:
         self.pages_touched.add(page_id)
         self.net_bytes += delta
         span = self._day_spans.setdefault(int(ts // _DAY), [ts, ts])
-        span[0] = min(span[0], ts)
-        span[1] = max(span[1], ts)
+        if ts < span[0]:
+            span[0] = ts
+        elif ts > span[1]:
+            span[1] = ts
 
     def seal(self, window_seconds: float):
         windows = set()
@@ -282,19 +295,18 @@ def accumulate(
     editors: dict[str, EditorAccumulator] = {}
     current_page: str | None = None
     prev_bytes = 0
-    for rec in records:
-        ts = rec.timestamp.timestamp()
+    for page_id, revision_id, timestamp, editor_id, anonymous, comment, minor, size in records:
+        ts = timestamp.timestamp()
         if ts > dump_ts:
-            log.warning("revision %s is after the dump instant", rec.revision_id)
-        if rec.page_id != current_page:
-            current_page = rec.page_id
+            log.warning("revision %s is after the dump instant", revision_id)
+        if page_id != current_page:
+            current_page = page_id
             prev_bytes = 0
-        delta = rec.page_bytes - prev_bytes
-        prev_bytes = rec.page_bytes
-        acc = editors.get(rec.editor_id)
+        acc = editors.get(editor_id)
         if acc is None:
-            acc = editors[rec.editor_id] = EditorAccumulator(rec.editor_id, rec.anonymous)
-        acc.add(ts, rec.minor_flag, rec.comment_present, rec.page_id, delta)
+            acc = editors[editor_id] = EditorAccumulator(editor_id, anonymous)
+        acc.add(ts, minor, comment, page_id, size - prev_bytes)
+        prev_bytes = size
     window_seconds = window_days * _DAY
     for acc in editors.values():
         acc.seal(window_seconds)

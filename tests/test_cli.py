@@ -1,3 +1,5 @@
+import bz2
+import gzip
 import json
 import os
 from xml.etree import ElementTree as ET
@@ -25,6 +27,43 @@ def test_extract_writes_12_rows(features_csv):
     assert len(lines) == 13
     assert lines[0] == ("editor_id,anonymous,pages,activity,not_minor,comments,"
                         "presence,frequency,regularity,bytes")
+
+
+def test_extract_reports_editors_revisions_and_skips(fixture_dump_path, tmp_path, capsys):
+    rc = main(["extract", "--dump", str(fixture_dump_path), "--out", str(tmp_path / "f.csv"),
+               "--dump-date", "2021-01-15T00:00:00Z"])
+    assert rc == 0
+    assert capsys.readouterr().out == "12 editors, 176 revisions, 0 skipped\n"
+    dump = tmp_path / "skips.xml"
+    dump.write_text("<mediawiki><page><id>1</id>"
+                    "<revision><id>1</id><contributor><ip>10.0.0.1</ip></contributor></revision>"
+                    "<revision><id>2</id><timestamp>2019-01-01T00:00:00Z</timestamp>"
+                    "<contributor><ip>10.0.0.1</ip></contributor></revision>"
+                    "</page></mediawiki>")
+    rc = main(["extract", "--dump", str(dump), "--out", str(tmp_path / "g.csv"),
+               "--dump-date", "2021-01-15T00:00:00Z"])
+    assert rc == 0
+    assert capsys.readouterr().out == "1 editors, 1 revisions, 1 skipped\n"
+
+
+@pytest.mark.parametrize("suffix, compress", [(".gz", gzip.compress), (".bz2", bz2.compress)])
+def test_extract_reads_compressed_dumps(fixture_dump_path, tmp_path, features_csv, capsys,
+                                        suffix, compress):
+    packed = compress(fixture_dump_path.read_bytes())
+    dump = tmp_path / f"dump.xml{suffix}"
+    dump.write_bytes(packed)
+    out = tmp_path / "packed.csv"
+    capsys.readouterr()
+    assert main(["extract", "--dump", str(dump), "--out", str(out),
+                 "--dump-date", "2021-01-15T00:00:00Z"]) == 0
+    assert out.read_bytes() == features_csv.read_bytes()
+    assert capsys.readouterr().out == "12 editors, 176 revisions, 0 skipped\n"
+    # a truncated archive is the input's fault
+    dump.write_bytes(packed[:len(packed) // 2])
+    assert main(["extract", "--dump", str(dump), "--out", str(tmp_path / "cut.csv"),
+                 "--dump-date", "2021-01-15T00:00:00Z"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "cut.csv").exists()
 
 
 def test_extract_window_days_default_is_30(fixture_dump_path, tmp_path, features_csv):

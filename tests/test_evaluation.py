@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from nonmono import argumentation, evaluation, expert
+from nonmono import argumentation, evaluation, expert, fuzzy
 from nonmono.evaluation import (
     MODEL_REGISTRY,
     baseline_feature_average,
@@ -296,6 +296,14 @@ def test_pooled_run_builds_structures_before_the_workers_start(fixture_features,
     # a structure built in a worker raises there, which would turn into NA
     assert pooled == serial
     assert builds == {("graph", "KB1"): 1, ("graph", "KB2"): 1, ("framework", "KB2"): 1}
+
+
+def test_pooled_run_builds_level_curves_before_the_workers_start(fixture_features, barnstars):
+    kb_set = _fresh_kbs()
+    fuzzy._level_curve.cache_clear()
+    run_matrix(kb_set, fixture_features, barnstars, ["FL1"], jobs=2)
+    levels = {tl.fmf("triangular") for tl in kb_set["KB1"].trust_levels.values()}
+    assert fuzzy._level_curve.cache_info().currsize == len(levels)
 
 
 def test_run_matrix_warns_unresolved_target_once(fixture_features, barnstars, caplog):
