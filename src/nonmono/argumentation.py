@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import expert
 from .kb.model import Dnf, KnowledgeBase
@@ -237,10 +238,13 @@ def categoriser(af: ArgumentationFramework) -> dict[str, float]:
     for src, tgt in af.attacks:
         incoming.setdefault(index[tgt], []).append(index[src])
     attacked = list(incoming)
-    sources = list(incoming.values())
+    # each gathers the attacker scores in order; a lone attacker is gathered
+    # as a one-item slice, since ``itemgetter(j)`` returns a bare score
+    gathers = [itemgetter(*srcs) if len(srcs) > 1 else itemgetter(slice(srcs[0], srcs[0] + 1))
+               for srcs in incoming.values()]
     scores = [1.0] * len(index)
     for _ in range(CAT_MAX_ITER):
-        nxt = [1.0 / (1.0 + sum([scores[j] for j in srcs])) for srcs in sources]
+        nxt = [1.0 / (1.0 + sum(gather(scores))) for gather in gathers]
         prev = [scores[i] for i in attacked]
         residual = max([abs(n - p) for n, p in zip(nxt, prev)], default=0.0)
         if residual < CAT_TOLERANCE / 2:

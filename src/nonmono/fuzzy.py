@@ -5,18 +5,24 @@ Stages: fuzzify crisp inputs, combine premise grades into rule necessities
 every proposition is fixed at 1, so an attacker Q caps its target at
 ``1 - Nec(Q)``), apply normalised rule weights, aggregate per trust level
 disjunctively, defuzzify the clipped level curves.  The contradictions are
-read from per-KB cap tables (``KnowledgeBase.cap_layers``) and the output
-curve is assembled from slices of cached level curves; both give exactly
-what a per-contradiction, per-grid-point walk gives.
+read from per-KB cap tables (``KnowledgeBase.cap_layers``).  The output
+curve is kept as pieces of cached level curves in grid order: a stretch
+one clipped level dominates is a reference to that level, and only short
+stretches where levels cross hold values.  Defuzzification reads the
+pieces and the levels' runs and never the 1001-point curve ``mu``, which
+is assembled from the pieces only when read.  Each result sums the same
+floats in the same order, in one ``sum`` call, as a per-contradiction,
+per-grid-point walk does, so it is equal to that walk's on every Python
+version, including the compensated float ``sum`` of 3.12 and later.
 """
 from __future__ import annotations
 
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import ge, mul
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
+from operator import mul
 from typing import Callable
 
 from .kb.model import (
@@ -51,11 +57,23 @@ OPERATORS = {
 
 @dataclass(frozen=True)
 class AggregatedFuzzySet:
-    """Trust-level truth values and the resulting clipped membership curve."""
+    """Trust-level truth values, the clipped levels of nonzero truth, and
+    the pieces of their pointwise max over ``xs`` in grid order.  ``mu``,
+    that max at every grid point, is assembled from the pieces when first
+    read; ``defuzzify`` does not read it."""
 
     level_truths: dict[str, float]
     xs: tuple[float, ...]
-    mu: tuple[float, ...]
+    levels: list[ClippedLevel]
+    pieces: list[Piece]
+
+    @cached_property
+    def mu(self) -> tuple[float, ...]:
+        if not self.pieces:
+            return (0.0,) * len(self.xs)
+        return tuple(chain.from_iterable(
+            values if level is None else _slice(level, p, q)
+            for p, q, level, values in self.pieces))
 
 
 def fuzzify(features, kb: KnowledgeBase, variant: str = "triangular") -> dict[tuple[str, str], float]:
@@ -192,20 +210,21 @@ _LEAF = 16
 
 
 @lru_cache(maxsize=128)
-def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...],
+                                    tuple[float, ...]]:
     """Membership of every grid point in one level function, with the part
-    before its first maximum and the rest reversed, both ascending.  Keyed
-    by the function's value, so equal functions of different KBs share a
-    curve.  Clipping by bisection and bounding by endpoints need a unimodal
-    curve, which every fmf shape gives; a curve that is not raises
-    ``KbValidationError``."""
+    before its first maximum and the rest reversed, both ascending, and
+    every grid point times its membership.  Keyed by the function's value,
+    so equal functions of different KBs share a curve.  Clipping by
+    bisection and bounding by endpoints need a unimodal curve, which every
+    fmf shape gives; a curve that is not raises ``KbValidationError``."""
     curve = tuple(map(fmf, _GRID))
     peak = curve.index(max(curve))
     left, rrev = curve[:peak], curve[peak:][::-1]
     if any(b < a for a, b in zip(left, curve[1:peak + 1])) or any(
             b < a for a, b in zip(rrev, rrev[1:])):
         raise KbValidationError(f"level function {fmf!r} is not unimodal on the grid")
-    return curve, left, rrev
+    return curve, left, rrev, tuple(map(mul, _GRID, curve))
 
 
 def warm_level_curves(kb: KnowledgeBase, variant: str) -> None:
@@ -216,61 +235,83 @@ def warm_level_curves(kb: KnowledgeBase, variant: str) -> None:
 
 
 # A level clipped at its truth: (curve, index of its first maximum, truth,
-# a, b), where ``[a, b)`` is the run of grid points at which the curve
-# reaches the truth.
-ClippedLevel = tuple[tuple[float, ...], int, float, int, int]
+# a, b, products, left, rrev), where ``[a, b)`` is the run of grid points
+# at which the curve reaches the truth, and the last three are the
+# ``_level_curve`` tuples after the curve.
+ClippedLevel = tuple[tuple[float, ...], int, float, int, int,
+                     tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+
+# A piece of the output curve on grid points ``[p, q)``: (p, q, level,
+# None) where one clipped level dominates, (p, q, None, values) where the
+# levels cross and the values are their per-point max.  The values are a
+# list, not a tuple: CPython keeps up to 2000 freed tuples of each length
+# below 20 for reuse, and leaves of 16 points would fill those and raise
+# peak memory.
+Piece = tuple[int, int, ClippedLevel | None, list[float] | None]
 
 
 def _clipped_level(fmf: Fmf, truth: float) -> ClippedLevel:
     """``min(truth, c)`` keeps ``truth`` exactly where ``c >= truth``, which
     on a unimodal curve is the run that bisecting its two ascending halves
-    finds; everywhere else it keeps the curve."""
-    curve, left, rrev = _level_curve(fmf)
-    return (curve, len(left), truth, bisect_left(left, truth),
-            len(curve) - bisect_left(rrev, truth))
+    finds; everywhere else it keeps the curve.  A truth at or above the
+    peak keeps the whole curve, so its run is left empty and the centroid
+    reads the cached products there too."""
+    curve, left, rrev, xc = _level_curve(fmf)
+    peak = len(left)
+    if truth >= curve[peak]:
+        return curve, peak, truth, peak, peak, xc, left, rrev
+    return (curve, peak, truth, bisect_left(left, truth),
+            len(curve) - bisect_left(rrev, truth), xc, left, rrev)
+
+
+def _run(level: ClippedLevel, p: int, q: int) -> tuple[int, int]:
+    """The level's truth run clamped to grid points ``[p, q)``."""
+    a, b = level[3], level[4]
+    return min(max(a, p), q), min(max(b, p), q)
 
 
 def _slice(level: ClippedLevel, p: int, q: int) -> tuple[float, ...]:
     """The clipped level on grid points ``[p, q)``."""
-    curve, _peak, truth, a, b = level
-    a, b = min(max(a, p), q), min(max(b, p), q)
+    curve, truth = level[0], level[2]
+    a, b = _run(level, p, q)
     return curve[p:a] + (truth,) * (b - a) + curve[b:q]
 
 
-def _envelope(levels: list[ClippedLevel]) -> tuple[float, ...]:
-    """The pointwise max of clipped levels, assembled from slices.
+def _envelope(levels: list[ClippedLevel]) -> list[Piece]:
+    """The pointwise max of clipped levels, as pieces in grid order.
 
     On a grid segment each clipped level is unimodal, so its least value is
     at an endpoint and its greatest at an endpoint or at the curve's peak.
     A level whose greatest value is below another's least is dropped there;
     where one level's least value is at or above every other's greatest,
-    the segment is that level's slice.  Otherwise the segment is halved,
-    down to ``_LEAF`` points, which are maximised point by point.  ``max``
-    returns one of its arguments, so every point equals the per-point max.
+    the segment is a piece naming that level.  Otherwise the segment is
+    halved, down to ``_LEAF`` points, which are maximised point by point.
+    ``max`` returns one of its arguments, so every point equals the
+    per-point max.
     """
-    pieces = []
+    pieces: list[Piece] = []
     segments = [(0, len(_GRID), levels)]
     while segments:
         p, q, candidates = segments.pop()
         last = q - 1
         lows, highs = [], []
-        for curve, peak, t, _a, _b in candidates:
+        for curve, peak, t, _a, _b, _xc, _left, _rrev in candidates:
             first, end = curve[p], curve[last]
             lows.append(min(t, first, end))
             highs.append(min(t, curve[peak] if p <= peak < q else max(first, end)))
         floor = max(lows)
         top = lows.index(floor)
         if max(highs[:top] + highs[top + 1:], default=floor) <= floor:
-            pieces.append(_slice(candidates[top], p, q))
+            pieces.append((p, q, candidates[top], None))
             continue
         kept = [level for level, hi in zip(candidates, highs) if hi >= floor]
         if q - p <= _LEAF:
-            pieces.append(map(max, *(_slice(level, p, q) for level in kept)))
+            pieces.append((p, q, None, list(map(max, *(_slice(level, p, q) for level in kept)))))
         else:
             mid = (p + q) // 2
             segments.append((mid, q, kept))
             segments.append((p, mid, kept))
-    return tuple(chain.from_iterable(pieces))
+    return pieces
 
 
 def aggregate_levels(
@@ -280,32 +321,61 @@ def aggregate_levels(
 ) -> AggregatedFuzzySet:
     """Disjunctive aggregation: level truth = max over rules inferring it;
     the output curve is the pointwise max of level functions clipped there,
-    built from slices of the cached level curves.  A level of truth 0 is
-    left out: clipped, it is 0 everywhere, and every curve is at least 0."""
+    kept as pieces of the cached level curves.  A level of truth 0 is left
+    out: clipped, it is 0 everywhere, and every curve is at least 0."""
     truths = {level: 0.0 for level in kb.trust_levels}
     for label, nec in necessities.items():
         level = kb.rules[label].consequent_level
         truths[level] = max(truths[level], nec)
     levels = [_clipped_level(tl.fmf(variant), truths[level])
               for level, tl in kb.trust_levels.items() if truths[level] > 0.0]
-    mu = _envelope(levels) if levels else (0.0,) * len(_GRID)
-    return AggregatedFuzzySet(level_truths=truths, xs=_GRID, mu=mu)
+    return AggregatedFuzzySet(truths, _GRID, levels, _envelope(levels) if levels else [])
 
 
 def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
     """Centroid or mean-of-max of the aggregated curve; a flat zero curve
-    defuzzifies to no value.  Both sum over the grid left to right, the
-    centroid every ``x * mu`` and ``mu``, mean-of-max the points within
-    ``MAX_TIE_EPS`` of the peak."""
+    defuzzifies to no value.
+
+    The peak of the curve is the largest of the levels' ``min(truth,
+    curve[peak])``, each a value of the curve.  Mean-of-max sums the grid
+    points within ``MAX_TIE_EPS`` of the peak: on a unimodal curve a
+    level's points at or above that bound are one run, found by bisecting
+    its ascending halves, and the union of the runs is summed left to
+    right.  The centroid sums every ``x * mu`` and every ``mu`` left to
+    right, read from the pieces: a dominated stretch gives the level's
+    cached products and values outside its truth run and ``x * truth`` and
+    the truth inside it.  Each is one ``sum`` over the same floats in the
+    same order as a walk over ``mu``, so it equals that walk's result.
+    """
     if method not in ("centroid", "mean_of_max"):
         raise ValueError(f"unknown defuzzification method {method!r}")
-    peak = max(agg.mu, default=0.0)
+    peak = max([min(t, curve[top]) for curve, top, t, *_ in agg.levels], default=0.0)
     if peak <= 0.0:
         return None
+    xs = agg.xs
     if method == "centroid":
-        return sum(map(mul, agg.xs, agg.mu)) / sum(agg.mu)
-    top = list(compress(agg.xs, map(ge, agg.mu, repeat(peak - MAX_TIE_EPS))))
-    return sum(top) / len(top)
+        moments, masses = [], []
+        for p, q, level, values in agg.pieces:
+            if level is None:
+                moments.append(map(mul, xs[p:q], values))
+                masses.append(values)
+            else:
+                curve, t, xc = level[0], level[2], level[5]
+                a, b = _run(level, p, q)
+                moments += (xc[p:a], map(mul, xs[a:b], repeat(t)), xc[b:q])
+                masses += (curve[p:a], repeat(t, b - a), curve[b:q])
+        return sum(chain.from_iterable(moments)) / sum(chain.from_iterable(masses))
+    bound = peak - MAX_TIE_EPS
+    runs = sorted((bisect_left(left, bound), len(curve) - bisect_left(rrev, bound))
+                  for curve, _peak, t, _a, _b, _xc, left, rrev in agg.levels if t >= bound)
+    top, count, end = [], 0, 0
+    for a, b in runs:
+        a = max(a, end)
+        if a < b:
+            top.append(xs[a:b])
+            count += b - a
+            end = b
+    return sum(chain.from_iterable(top)) / count
 
 
 def resolved_necessities(kb: KnowledgeBase, grades, operator: str) -> dict[str, float]:

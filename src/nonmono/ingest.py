@@ -151,7 +151,8 @@ class _RevisionHandler:
 
     def _finish_revision(self):
         rev_id, stamp, editor, comment, anonymous, minor, size, deleted = self._rev
-        if stamp is None or editor is None or deleted:
+        # an empty <username></username> or <ip/> names no contributor
+        if stamp is None or not editor or deleted:
             self.skipped += 1
             log.warning("skipping revision %s of page %s: missing timestamp or contributor",
                         rev_id, self.page_id)

@@ -46,6 +46,26 @@ def test_extract_reports_editors_revisions_and_skips(fixture_dump_path, tmp_path
     assert capsys.readouterr().out == "1 editors, 1 revisions, 1 skipped\n"
 
 
+def test_extract_skips_revisions_with_an_empty_contributor(tmp_path, capsys, caplog):
+    dump = tmp_path / "empty.xml"
+    dump.write_text("<mediawiki><page><id>1</id>"
+                    "<revision><id>1</id><timestamp>2019-01-01T00:00:00Z</timestamp>"
+                    "<contributor><username></username><id>5</id></contributor></revision>"
+                    "<revision><id>2</id><timestamp>2019-01-02T00:00:00Z</timestamp>"
+                    "<contributor><ip/></contributor></revision>"
+                    "<revision><id>3</id><timestamp>2019-01-03T00:00:00Z</timestamp>"
+                    "<contributor><ip>10.0.0.1</ip></contributor></revision>"
+                    "</page></mediawiki>")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--dump", str(dump), "--out", str(out),
+                 "--dump-date", "2021-01-15T00:00:00Z"]) == 0
+    assert capsys.readouterr().out == "1 editors, 1 revisions, 2 skipped\n"
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["10.0.0.1"]
+    skips = [r.getMessage() for r in caplog.records if "missing timestamp or contributor" in r.getMessage()]
+    assert len(skips) == 2
+
+
 @pytest.mark.parametrize("suffix, compress", [(".gz", gzip.compress), (".bz2", bz2.compress)])
 def test_extract_reads_compressed_dumps(fixture_dump_path, tmp_path, features_csv, capsys,
                                         suffix, compress):

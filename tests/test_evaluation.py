@@ -345,6 +345,23 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
                           "activate_rules": 2, "elicit_subaf": 4}
 
 
+def test_fuzzy_models_never_build_the_output_curve(kb1, kb2, fixture_features, barnstars,
+                                                   monkeypatch):
+    from nonmono import fuzzy
+
+    built = []
+    real = fuzzy.aggregate_levels
+    monkeypatch.setattr(fuzzy, "aggregate_levels",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    fuzzy_models = [mid for mid in MODEL_REGISTRY if mid.startswith(("FL", "FC"))]
+    assert len(fuzzy_models) == 48
+    run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features[:3], barnstars, fuzzy_models, jobs=1)
+    assert len(built) == 24 * 3
+    # defuzzification reads the pieces; the curve itself is built only when read
+    assert not any("mu" in vars(agg) for agg in built)
+    assert all(len(agg.mu) == fuzzy.DEFAULT_RESOLUTION for agg in built)
+
+
 def test_filtered_run_equals_full_matrix(kb1, kb2, fixture_features, barnstars, monkeypatch):
     kb_set = {"KB1": kb1, "KB2": kb2}
     full = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
