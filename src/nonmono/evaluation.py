@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import argumentation, expert, fuzzy
-from .ingest import EditorFeatures
+from .ingest import FEATURE_NAMES, EditorFeatures
 from .kb.model import KnowledgeBase
 
 log = logging.getLogger(__name__)
@@ -166,11 +166,19 @@ def baseline_feature_average(features: Sequence[EditorFeatures]) -> dict[str, fl
     return out
 
 
+# Names no fields: the stage is keyed on its input (see _STAGES).
+BY_INPUT = None
+
 # Each engine's per-editor pipeline as a chain of stages.  A stage reads the
 # model fields it names and the previous stage's result.  Its sharing key is
 # the engine plus every field named up to and including it, so the models
-# whose keys agree share that stage's result for an editor: the 48 fuzzy
-# models fuzzify 4 times, resolve 12 times and aggregate 24 times.
+# whose keys agree share that stage's result for an editor.  A stage that
+# names BY_INPUT is keyed on its input instead: its key is the stage and
+# the previous stage's result, which must be hashable, and the stages after
+# it extend that key with their fields.  Per editor the 48 fuzzy models
+# fuzzify 4 times, resolve 12 times and take level truths 24 times, then
+# aggregate once per distinct level truths, whichever KB, operator or
+# weights flag reached them, and defuzzify once per level truths and method.
 _STAGES = {
     "expert": (
         (("kb_id",), lambda kb, _c, vec, _prev: expert.surviving_rules(kb, vec)[0]),
@@ -182,7 +190,8 @@ _STAGES = {
         (("operator",),
          lambda kb, c, _vec, grades: fuzzy.resolved_necessities(kb, grades, c.operator)),
         (("use_weights",),
-         lambda kb, c, _vec, necs: fuzzy.weighted_levels(kb, necs, c.use_weights, c.fmf_variant)),
+         lambda kb, c, _vec, necs: fuzzy.level_truths(kb, necs, c.use_weights, c.fmf_variant)),
+        (BY_INPUT, lambda _kb, _c, _vec, truths: fuzzy.aggregate_levels(truths)),
         (("defuzz",), lambda _kb, c, _vec, agg: fuzzy.defuzzify(agg, c.defuzz)),
     ),
     "argumentation": (
@@ -200,27 +209,46 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
 
     For each editor every distinct stage runs once and its result fans out
     to the models that share it.  A stage that raises gives NA to every
-    model sharing it, with one ERROR per model naming model and editor.  An
-    unknown engine raises ``ValueError`` before any editor is evaluated.
+    model sharing it, with one ERROR per model naming model and editor; for
+    a stage keyed on its input, those are the models whose chains reached
+    that input.  An unknown engine raises ``ValueError``, and a selected KB
+    reading a feature that the feature vector lacks raises
+    ``expert.MissingFeatureError``, before any editor is evaluated.
     """
     chains = []
     for config in selected:
         stages = _STAGES.get(config.engine)
         if stages is None:
             raise ValueError(f"model {config.id}: unknown engine {config.engine!r}")
+        # a static key is whole; from a stage keyed on its input on, the key
+        # holds only the fields named since, and the walk over an editor
+        # prefixes it with that stage and its input
         key: tuple = (config.engine,)
         keyed = []
         for fields, run in stages:
-            key += tuple(getattr(config, name) for name in fields)
-            keyed.append((key, run))
+            if fields is BY_INPUT:
+                key = ()
+            else:
+                key += tuple(getattr(config, name) for name in fields)
+            keyed.append((key, run, fields is BY_INPUT))
         chains.append((config, kb_set[config.kb_id], keyed))
+    for kb_id in dict.fromkeys(config.kb_id for config in selected):
+        for name in kb_set[kb_id].features:
+            if name not in FEATURE_NAMES:
+                raise expert.MissingFeatureError(
+                    f"knowledge base {kb_id}: feature {name!r} missing from the feature vector")
     trust: dict[str, dict[str, float | None]] = {config.id: {} for config in selected}
     for f in features:
         vec = f.as_dict()
         done: dict[tuple, object] = {}  # stage key -> result or the exception it raised
         for config, kb, keyed in chains:
             value = None
-            for key, run in keyed:
+            base = None
+            for key, run, by_input in keyed:
+                if by_input:
+                    base = (run, value)
+                if base is not None:
+                    key = base + key
                 if key not in done:
                     try:
                         done[key] = run(kb, config, vec, value)
@@ -294,9 +322,10 @@ def run_matrix(
     processes (at most one per editor); they take contiguous chunks of
     editors, about ``CHUNKS_PER_WORKER`` each, as they become free, and run
     every selected model over them.  The KB structures and the fuzzy level
-    curves the selected models read are built before the workers start,
-    which inherit them.  The output, including its registry order, depends
-    on neither ``jobs`` nor which other models are selected.  One WARNING
+    sets, with their curves, that the selected models read are built before
+    the workers start, which inherit them.  The output, including its
+    registry order, depends on neither ``jobs`` nor which other models are
+    selected.  One WARNING
     lists the models whose rank or spread is undefined.
     """
     selected = select_models(model_filter)
@@ -307,7 +336,7 @@ def run_matrix(
             kb = kb_set[config.kb_id]
             if config.engine == "fuzzy":
                 _ = kb.cap_layers
-                fuzzy.warm_level_curves(kb, config.fmf_variant)
+                fuzzy.level_set(kb, config.fmf_variant)
             else:
                 _ = kb.framework if config.engine == "argumentation" else kb.layers
         size = max(1, n // (workers * CHUNKS_PER_WORKER))

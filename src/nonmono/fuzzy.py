@@ -3,17 +3,23 @@
 Stages: fuzzify crisp inputs, combine premise grades into rule necessities
 (t-norm/t-conorm), shrink necessities through contradictions (possibility of
 every proposition is fixed at 1, so an attacker Q caps its target at
-``1 - Nec(Q)``), apply normalised rule weights, aggregate per trust level
-disjunctively, defuzzify the clipped level curves.  The contradictions are
-read from per-KB cap tables (``KnowledgeBase.cap_layers``).  The output
-curve is kept as pieces of cached level curves in grid order: a stretch
-one clipped level dominates is a reference to that level, and only short
-stretches where levels cross hold values.  Defuzzification reads the
-pieces and the levels' runs and never the 1001-point curve ``mu``, which
-is assembled from the pieces only when read.  Each result sums the same
-floats in the same order, in one ``sum`` call, as a per-contradiction,
-per-grid-point walk does, so it is equal to that walk's on every Python
-version, including the compensated float ``sum`` of 3.12 and later.
+``1 - Nec(Q)``), apply normalised rule weights and take each trust level's
+truth as the max over the rules inferring it, aggregate the level functions
+clipped at those truths disjunctively, defuzzify.  The contradictions are
+read from per-KB cap tables (``KnowledgeBase.cap_layers``).  The level
+truths are a hashable ``LevelTruths``: an interned ``LevelSet`` (the level
+names and their functions' cached curves, compared by identity) and the
+truths in level order.  ``aggregate_levels`` and ``defuzzify`` read nothing
+else, so equal level truths, from any KB, operator or weights flag, have
+one output.  The output curve is kept as pieces of cached level curves in
+grid order: a stretch one clipped level dominates is a reference to that
+level, and only short stretches where levels cross hold values.
+Defuzzification reads the pieces and the levels' runs and never the
+1001-point curve ``mu``, which is assembled from the pieces only when read.
+Each result sums the same floats in the same order, in one ``sum`` call, as
+a per-contradiction, per-grid-point walk does, so it is equal to that
+walk's on every Python version, including the compensated float ``sum`` of
+3.12 and later.
 """
 from __future__ import annotations
 
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
+from weakref import WeakValueDictionary
 
 from .kb.model import (
     MAX_FEATURE_WEIGHT,
@@ -84,8 +91,6 @@ def fuzzify(features, kb: KnowledgeBase, variant: str = "triangular") -> dict[tu
     """
     grades: dict[tuple[str, str], float] = {}
     for fname, feat in kb.features.items():
-        if fname not in features:
-            raise KeyError(f"feature {fname!r} missing from feature vector")
         x = min(max(features[fname], feat.domain_min), feat.domain_max)
         for term in feat.terms:
             grades[(fname, term.label)] = term.fmf(variant)(x)
@@ -209,9 +214,13 @@ _GRID = tuple(i / (DEFAULT_RESOLUTION - 1) for i in range(DEFAULT_RESOLUTION))
 _LEAF = 16
 
 
+# A level function on the grid: its curve, the curve's two ascending halves
+# and its products with the grid points (see ``_level_curve``).
+LevelCurve = tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+
+
 @lru_cache(maxsize=128)
-def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...],
-                                    tuple[float, ...]]:
+def _level_curve(fmf: Fmf) -> LevelCurve:
     """Membership of every grid point in one level function, with the part
     before its first maximum and the rest reversed, both ascending, and
     every grid point times its membership.  Keyed by the function's value,
@@ -227,11 +236,62 @@ def _level_curve(fmf: Fmf) -> tuple[tuple[float, ...], tuple[float, ...], tuple[
     return curve, left, rrev, tuple(map(mul, _GRID, curve))
 
 
-def warm_level_curves(kb: KnowledgeBase, variant: str) -> None:
-    """Build the cached curves of ``kb``'s level functions under
-    ``variant``, so that worker processes forked afterwards inherit them."""
-    for tl in kb.trust_levels.values():
-        _level_curve(tl.fmf(variant))
+@dataclass(frozen=True, eq=False)
+class LevelSet:
+    """A knowledge base's trust levels under one fmf variant: their names
+    in KB order and their functions' cached curves.  ``level_set`` interns
+    it by the names and functions, so equal level sets of different KBs are
+    one object; it compares and hashes by identity, so a lookup never
+    hashes the functions."""
+
+    names: tuple[str, ...]
+    curves: tuple[LevelCurve, ...]
+
+
+# Interned level sets by (name, function) pairs; an entry lives as long as
+# some knowledge base holds its level set.
+_LEVEL_SETS: WeakValueDictionary[tuple[tuple[str, Fmf], ...], LevelSet] = WeakValueDictionary()
+
+
+def level_set(kb: KnowledgeBase, variant: str | None) -> LevelSet:
+    """``kb``'s trust levels under ``variant``, built on the KB's first use
+    of the variant and kept in ``kb.level_sets``, so that worker processes
+    forked afterwards inherit it with its curves."""
+    found = kb.level_sets.get(variant)
+    if found is None:
+        content = tuple((label, tl.fmf(variant)) for label, tl in kb.trust_levels.items())
+        fresh = LevelSet(tuple(label for label, _fmf in content),
+                         tuple(_level_curve(fmf) for _label, fmf in content))
+        found = kb.level_sets[variant] = _LEVEL_SETS.setdefault(content, fresh)
+    return found
+
+
+class LevelTruths(NamedTuple):
+    """Each trust level's truth, in ``levels.names`` order: the input of
+    ``aggregate_levels``, and so the key on which the models of a matrix
+    share it.  Two are equal exactly when their level sets are one object
+    and their truths are equal floats.  A truth starts from 0.0 and takes
+    only a value that compares above it, which neither -0.0 nor a NaN does,
+    so a truth is never either: equal truths are the same bits, and an
+    equal key has the same aggregate."""
+
+    levels: LevelSet
+    truths: tuple[float, ...]
+
+
+def level_truths(kb: KnowledgeBase, necessities: dict[str, float], use_weights: bool,
+                 variant: str | None) -> LevelTruths:
+    """Disjunctive level truths: each level's truth is the max over the
+    rules inferring it of their necessities, weighted when ``use_weights``."""
+    if use_weights:
+        necessities = apply_rule_weights(necessities, kb)
+    truths = dict.fromkeys(kb.trust_levels, 0.0)
+    rules = kb.rules
+    for label, nec in necessities.items():
+        level = rules[label].consequent_level
+        if nec > truths[level]:  # max(truths[level], nec), without the call
+            truths[level] = nec
+    return LevelTruths(level_set(kb, variant), tuple(truths.values()))
 
 
 # A level clipped at its truth: (curve, index of its first maximum, truth,
@@ -250,13 +310,13 @@ ClippedLevel = tuple[tuple[float, ...], int, float, int, int,
 Piece = tuple[int, int, ClippedLevel | None, list[float] | None]
 
 
-def _clipped_level(fmf: Fmf, truth: float) -> ClippedLevel:
+def _clipped_level(level_curve: LevelCurve, truth: float) -> ClippedLevel:
     """``min(truth, c)`` keeps ``truth`` exactly where ``c >= truth``, which
     on a unimodal curve is the run that bisecting its two ascending halves
     finds; everywhere else it keeps the curve.  A truth at or above the
     peak keeps the whole curve, so its run is left empty and the centroid
     reads the cached products there too."""
-    curve, left, rrev, xc = _level_curve(fmf)
+    curve, left, rrev, xc = level_curve
     peak = len(left)
     if truth >= curve[peak]:
         return curve, peak, truth, peak, peak, xc, left, rrev
@@ -314,22 +374,16 @@ def _envelope(levels: list[ClippedLevel]) -> list[Piece]:
     return pieces
 
 
-def aggregate_levels(
-    necessities: dict[str, float],
-    kb: KnowledgeBase,
-    variant: str = "triangular",
-) -> AggregatedFuzzySet:
-    """Disjunctive aggregation: level truth = max over rules inferring it;
-    the output curve is the pointwise max of level functions clipped there,
-    kept as pieces of the cached level curves.  A level of truth 0 is left
-    out: clipped, it is 0 everywhere, and every curve is at least 0."""
-    truths = {level: 0.0 for level in kb.trust_levels}
-    for label, nec in necessities.items():
-        level = kb.rules[label].consequent_level
-        truths[level] = max(truths[level], nec)
-    levels = [_clipped_level(tl.fmf(variant), truths[level])
-              for level, tl in kb.trust_levels.items() if truths[level] > 0.0]
-    return AggregatedFuzzySet(truths, _GRID, levels, _envelope(levels) if levels else [])
+def aggregate_levels(level_truths: LevelTruths) -> AggregatedFuzzySet:
+    """Disjunctive aggregation: the output curve is the pointwise max of
+    the level functions clipped at their truths, kept as pieces of the
+    cached level curves.  A level of truth 0 is left out: clipped, it is 0
+    everywhere, and every curve is at least 0."""
+    levels, truths = level_truths
+    kept = [_clipped_level(curve, truth)
+            for curve, truth in zip(levels.curves, truths) if truth > 0.0]
+    return AggregatedFuzzySet(dict(zip(levels.names, truths)), _GRID, kept,
+                              _envelope(kept) if kept else [])
 
 
 def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
@@ -382,12 +436,3 @@ def resolved_necessities(kb: KnowledgeBase, grades, operator: str) -> dict[str, 
     """Rule necessities under ``operator`` after the possibilistic layer."""
     ops = OPERATORS[operator]
     return resolve_possibility(kb, initial_necessities(kb, grades, ops), grades, ops)
-
-
-def weighted_levels(kb: KnowledgeBase, necessities: dict[str, float], use_weights: bool,
-                    variant: str) -> AggregatedFuzzySet:
-    """Aggregated level curve, from weighted necessities when ``use_weights``."""
-    if use_weights:
-        necessities = apply_rule_weights(necessities, kb)
-    return aggregate_levels(necessities, kb, variant)
-

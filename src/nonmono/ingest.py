@@ -11,7 +11,7 @@ import csv
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import IO, Iterable, Iterator, NamedTuple
 from xml.parsers import expat
@@ -278,6 +278,10 @@ class EditorFeatures:
             "regularity": self.regularity,
             "bytes": float(self.bytes),
         }
+
+
+# The feature vector's names, the keys of ``EditorFeatures.as_dict``.
+FEATURE_NAMES = frozenset(f.name for f in fields(EditorFeatures)) - {"editor_id"}
 
 
 def accumulate(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..argumentation import ArgumentationFramework
-    from ..fuzzy import CapLayer
+    from ..fuzzy import CapLayer, LevelSet
 
 __all__ = [
     "Fmf",
@@ -219,8 +219,8 @@ class Contradiction:
 class KnowledgeBase:
     """Features, trust levels, rules and contradictions.  The structures
     derived from them (contradiction layers, their possibilistic cap tables,
-    argumentation framework, rule weights) are built on first use and kept
-    with the knowledge base."""
+    fuzzy level sets, argumentation framework, rule weights) are built on
+    first use and kept with the knowledge base."""
 
     id: str
     features: dict[str, Feature]
@@ -290,6 +290,12 @@ class KnowledgeBase:
         from .. import fuzzy  # fuzzy imports this module
 
         return fuzzy.compile_caps(self)
+
+    @cached_property
+    def level_sets(self) -> dict[str | None, LevelSet]:
+        """The trust levels under each fmf variant used so far, as
+        ``fuzzy.level_set`` builds them."""
+        return {}
 
     @cached_property
     def framework(self) -> ArgumentationFramework:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 import random
@@ -18,6 +19,7 @@ from nonmono.evaluation import (
 )
 from nonmono.ingest import EditorFeatures
 from nonmono.kb import load_builtin
+from nonmono.kb.model import Fmf
 
 
 def make_features(editor_id, **kw):
@@ -327,39 +329,130 @@ def _trust_of_run(monkeypatch, *args, **kwargs):
     return {config.id: trust for (config, _t), trust in zip(rows, captured)}
 
 
-def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, monkeypatch):
-    from nonmono import argumentation, fuzzy
+FUZZY_MODELS = [mid for mid in MODEL_REGISTRY if mid.startswith(("FL", "FC"))]
 
+
+def _walked_level_truths(kb_set, vec):
+    """Each fuzzy model's aggregation input for one feature vector, walked
+    model by model from the engine's parts, not through the stage plan:
+    the (level, function, truth) triples in KB order, the truth the max over
+    the rules inferring the level of their possibilistic necessities,
+    weighted when the model weights."""
+    out = {}
+    for mid in FUZZY_MODELS:
+        config = MODEL_REGISTRY[mid]
+        kb = kb_set[config.kb_id]
+        ops = fuzzy.OPERATORS[config.operator]
+        grades = fuzzy.fuzzify(vec, kb, config.fmf_variant)
+        necs = fuzzy.resolve_possibility(kb, fuzzy.initial_necessities(kb, grades, ops),
+                                         grades, ops)
+        if config.use_weights:
+            necs = fuzzy.apply_rule_weights(necs, kb)
+        truths = dict.fromkeys(kb.trust_levels, 0.0)
+        for label, nec in necs.items():
+            level = kb.rules[label].consequent_level
+            truths[level] = max(truths[level], nec)
+        out[mid] = tuple((level, tl.fmf(config.fmf_variant), truths[level])
+                         for level, tl in kb.trust_levels.items())
+    return out
+
+
+def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, monkeypatch):
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    editors = fixture_features[:3] + [f for f in fixture_features if f.editor_id == "eve"]
+    distinct = [len(set(_walked_level_truths(kb_set, f.as_dict()).values())) for f in editors]
+    # the editors between them reach shared and unshared level truths
+    assert min(distinct) < 24 and len(set(distinct)) > 1
     calls = {}
     for module, name in ((fuzzy, "fuzzify"), (fuzzy, "resolve_possibility"),
-                         (fuzzy, "aggregate_levels"), (expert, "activate_rules"),
-                         (argumentation, "elicit_subaf")):
+                         (fuzzy, "aggregate_levels"), (fuzzy, "defuzzify"),
+                         (expert, "activate_rules"), (argumentation, "elicit_subaf")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    three = fixture_features[:3]
-    run_matrix({"KB1": kb1, "KB2": kb2}, three, barnstars, jobs=1)
-    per_editor = {name: n / len(three) for name, n in calls.items()}
-    assert per_editor == {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": 24,
-                          "activate_rules": 2, "elicit_subaf": 4}
+    for editor, n in zip(editors, distinct):
+        calls.clear()
+        run_matrix(kb_set, [editor], barnstars, jobs=1)
+        assert calls == {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": n,
+                         "defuzzify": 2 * n, "activate_rules": 2, "elicit_subaf": 4}, editor
 
 
 def test_fuzzy_models_never_build_the_output_curve(kb1, kb2, fixture_features, barnstars,
                                                    monkeypatch):
-    from nonmono import fuzzy
-
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    distinct = sum(len(set(_walked_level_truths(kb_set, f.as_dict()).values()))
+                   for f in fixture_features[:3])
     built = []
     real = fuzzy.aggregate_levels
     monkeypatch.setattr(fuzzy, "aggregate_levels",
                         lambda *args: built.append(real(*args)) or built[-1])
-    fuzzy_models = [mid for mid in MODEL_REGISTRY if mid.startswith(("FL", "FC"))]
-    assert len(fuzzy_models) == 48
-    run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features[:3], barnstars, fuzzy_models, jobs=1)
-    assert len(built) == 24 * 3
+    assert len(FUZZY_MODELS) == 48
+    run_matrix(kb_set, fixture_features[:3], barnstars, FUZZY_MODELS, jobs=1)
+    assert len(built) == distinct
     # defuzzification reads the pieces; the curve itself is built only when read
     assert not any("mu" in vars(agg) for agg in built)
     assert all(len(agg.mu) == fuzzy.DEFAULT_RESOLUTION for agg in built)
+
+
+def _vector_editors(prefix, vectors):
+    return [EditorFeatures(editor_id=f"{prefix}{i}", **vec) for i, vec in enumerate(vectors)]
+
+
+def test_shared_fuzzy_output_equals_a_lone_model(kb1, kb2, fixture_features, barnstars,
+                                                 monkeypatch):
+    from test_differential import _boundary_vectors, _uniform_vectors
+
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    for editors in (_vector_editors("u", _uniform_vectors(12)),
+                    _vector_editors("b", _boundary_vectors(12, (kb1,))), fixture_features):
+        full = _trust_of_run(monkeypatch, kb_set, editors, barnstars, jobs=1)
+        for mid in FUZZY_MODELS:
+            config = MODEL_REGISTRY[mid]
+            assert repr(run_model(config, kb_set[config.kb_id], editors)) == repr(full[mid]), mid
+
+
+def test_changed_level_function_shares_no_aggregate(kb2, fixture_features, monkeypatch):
+    level = kb2.trust_levels["medium_low"]
+    changed = dataclasses.replace(kb2, id="KB2x", trust_levels=dict(
+        kb2.trust_levels, medium_low=dataclasses.replace(level, fmfs=dict(
+            level.fmfs, triangular=Fmf("triangular", (0.1875, 0.375, 0.5626))))))
+    models = [MODEL_REGISTRY["FL13"],
+              dataclasses.replace(MODEL_REGISTRY["FL13"], id="X13", kb_id="KB2x")]
+    calls = []
+    real = fuzzy.aggregate_levels
+    monkeypatch.setattr(fuzzy, "aggregate_levels",
+                        lambda truths: calls.append(truths) or real(truths))
+    editors = fixture_features[:4]
+    for copy, per_editor in ((dataclasses.replace(kb2, id="KB2x"), 1), (changed, 2)):
+        calls.clear()
+        trust = evaluation._evaluate(models, {"KB2": kb2, "KB2x": copy}, editors)
+        # a copy with equal levels and contradictions shares every aggregate
+        assert len(calls) == per_editor * len(editors)
+        for config in models:
+            kb = kb2 if config.kb_id == "KB2" else copy
+            assert repr(trust[config.id]) == repr(run_model(config, kb, editors))
+    assert fuzzy.level_set(changed, "triangular") is not fuzzy.level_set(kb2, "triangular")
+    assert fuzzy.level_set(changed, "gaussian") is fuzzy.level_set(kb2, "gaussian")
+
+
+def test_models_differing_in_operator_share_the_aggregate(kb1, fixture_features, monkeypatch):
+    zadeh, product = MODEL_REGISTRY["FL1"], MODEL_REGISTRY["FL3"]
+    assert dataclasses.replace(zadeh, id="FL3", operator="product") == product
+    truths, aggregates = [], []
+    real_truths, real_aggregate = fuzzy.level_truths, fuzzy.aggregate_levels
+    monkeypatch.setattr(fuzzy, "level_truths",
+                        lambda *args: truths.append(real_truths(*args)) or truths[-1])
+    monkeypatch.setattr(fuzzy, "aggregate_levels",
+                        lambda lt: aggregates.append(real_aggregate(lt)) or aggregates[-1])
+    # the trust value is then the aggregate the model's chain reached
+    monkeypatch.setattr(fuzzy, "defuzzify", lambda agg, _method: agg)
+    editor = fixture_features[0]
+    trust = evaluation._evaluate([zadeh, product], {"KB1": kb1}, [editor])
+    assert truths[0] == truths[1] and truths[0] is not truths[1]
+    assert len(aggregates) == 1
+    reached = trust[zadeh.id][editor.editor_id], trust[product.id][editor.editor_id]
+    assert reached[0] is reached[1] is aggregates[0]
 
 
 def test_filtered_run_equals_full_matrix(kb1, kb2, fixture_features, barnstars, monkeypatch):
@@ -373,12 +466,27 @@ def test_filtered_run_equals_full_matrix(kb1, kb2, fixture_features, barnstars, 
 
 def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_features, barnstars,
                                                          monkeypatch, caplog):
-    from nonmono import argumentation, fuzzy
-
     kb_set = {"KB1": kb1, "KB2": kb2}
     clean = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
     victim = fixture_features[1]
     real_fuzzify, real_elicit = fuzzy.fuzzify, argumentation.elicit
+    real_aggregate = fuzzy.aggregate_levels
+    # one aggregation input fails: FL1's at the victim, wherever it is reached
+    walked = {f.editor_id: _walked_level_truths(kb_set, f.as_dict()) for f in fixture_features}
+    reached = [(mid, editor) for editor, by_model in walked.items()
+               for mid, truths in by_model.items() if truths == walked[victim.editor_id]["FL1"]]
+    configs = [MODEL_REGISTRY[mid] for mid, _editor in reached]
+    assert {c.kb_id for c in configs} == {"KB1", "KB2"}
+    assert {c.operator for c in configs} == set(fuzzy.OPERATORS)
+    assert all(clean[mid][editor] is not None for mid, editor in reached)
+
+    poison = fuzzy.level_truths(kb1, fuzzy.resolved_necessities(
+        kb1, fuzzy.fuzzify(victim.as_dict(), kb1, "triangular"), "zadeh"), False, "triangular")
+
+    def aggregate_levels(level_truths):
+        if level_truths == poison:
+            raise RuntimeError("aggregate boom")
+        return real_aggregate(level_truths)
 
     def fuzzify(features, kb, variant="triangular"):
         if features == victim.as_dict() and kb is kb2 and variant == "gaussian":
@@ -392,16 +500,18 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
 
     monkeypatch.setattr(fuzzy, "fuzzify", fuzzify)
     monkeypatch.setattr(argumentation, "elicit", elicit)
+    monkeypatch.setattr(fuzzy, "aggregate_levels", aggregate_levels)
     with caplog.at_level(logging.ERROR, logger="nonmono"):
         broken = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
     # FC13-FC24 are the gaussian KB2 models; A4-A6 the strength-filtered KB1 ones
-    sharing = [f"FC{i}" for i in range(13, 25)] + ["A4", "A5", "A6"]
+    failed = [(mid, victim.editor_id) for mid in
+              [f"FC{i}" for i in range(13, 25)] + ["A4", "A5", "A6"]] + reached
     for mid, trust in clean.items():
-        expected = dict(trust, **{victim.editor_id: None}) if mid in sharing else trust
+        expected = dict(trust, **{editor: None for m, editor in failed if m == mid})
         assert broken[mid] == expected, mid
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert sorted(errors) == sorted(
-        f"model {mid} failed for editor {victim.editor_id}; recording NA" for mid in sharing)
+        f"model {mid} failed for editor {editor}; recording NA" for mid, editor in failed)
 
 
 def test_undefined_metrics_warn_once_per_run(kb1, kb2, fixture_features, barnstars, caplog):

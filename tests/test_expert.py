@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonmono import expert
+from nonmono.evaluation import MODEL_REGISTRY, run_model
+from nonmono.ingest import EditorFeatures
 from nonmono.kb import parse_kb
 
 BASE = dict(pages=1, activity=1, anonymous=0, not_minor=0.1, comments=0.1,
@@ -27,9 +29,22 @@ def test_conjunction_takes_min(kb1):
     assert act.v == 0.05
 
 
-def test_missing_feature_named(kb1):
-    with pytest.raises(expert.MissingFeatureError, match="comments"):
-        expert.evaluate_antecedent(kb1.rules["C4"].antecedent, {"pages": 1}, kb1)
+def test_missing_feature_named(caplog):
+    """A KB reading a feature the vector lacks is rejected once, before any
+    editor, whichever engine reads it; no editor becomes an NA."""
+    kb = parse_kb("""
+feature karma weight 1 domain [0.0, 1.0] {
+    term on = [0.0, 1.0] fmf crisp(0.0, 1.0)
+}
+trustlevel all = [0.0, 1.0] fmf crisp(0.0, 1.0)
+rule R: IF karma is on THEN trust is all
+""").kb
+    editors = [EditorFeatures("x", **BASE)]
+    for mid in ("E1", "FL1", "A1"):
+        with pytest.raises(expert.MissingFeatureError,
+                           match="knowledge base KB1: feature 'karma' missing"):
+            run_model(MODEL_REGISTRY[mid], kb, editors)
+    assert caplog.records == []
 
 
 def test_rule_value_anchors():

@@ -225,26 +225,31 @@ rule S: IF g is on THEN trust is low
     assert weighted["S"] == pytest.approx(0.25)  # (4/8) * 0.5
 
 
+def _aggregate(necessities, kb, variant="triangular"):
+    """The unweighted level truths of ``necessities``, aggregated."""
+    return fuzzy.aggregate_levels(fuzzy.level_truths(kb, necessities, False, variant))
+
+
 def test_aggregate_levels_disjunctive_max(kb1):
     necs = {label: 0.0 for label in kb1.rules}
     necs["C4"] = 0.2
     necs["AN1"] = 0.7
-    agg = fuzzy.aggregate_levels(necs, kb1)
+    agg = _aggregate(necs, kb1)
     assert agg.level_truths["high"] == pytest.approx(0.7)
     assert agg.level_truths["low"] == 0.0
 
 
 def test_aggregate_levels_zero_curve(kb1):
     necs = {label: 0.0 for label in kb1.rules}
-    agg = fuzzy.aggregate_levels(necs, kb1)
+    agg = _aggregate(necs, kb1)
     assert max(agg.mu) == 0.0
     assert fuzzy.defuzzify(agg, "centroid") is None
     assert fuzzy.defuzzify(agg, "mean_of_max") is None
 
 
 def test_defuzzify_rejects_unknown_method(kb1):
-    flat = fuzzy.aggregate_levels({label: 0.0 for label in kb1.rules}, kb1)
-    peaked = fuzzy.aggregate_levels({"AN1": 0.7}, kb1)
+    flat = _aggregate({label: 0.0 for label in kb1.rules}, kb1)
+    peaked = _aggregate({"AN1": 0.7}, kb1)
     assert flat.mu == (0.0,) * fuzzy.DEFAULT_RESOLUTION
     assert max(peaked.mu) > 0.0
     for agg in (flat, peaked):
@@ -255,7 +260,7 @@ def test_defuzzify_rejects_unknown_method(kb1):
 def test_aggregate_levels_unclipped(kb1):
     necs = {label: 0.0 for label in kb1.rules}
     necs["AN1"] = 1.0
-    agg = fuzzy.aggregate_levels(necs, kb1)
+    agg = _aggregate(necs, kb1)
     fmf = kb1.trust_levels["high"].fmf("triangular")
     assert all(m == pytest.approx(max(fmf(x), 0.0)) for x, m in zip(agg.xs, agg.mu))
 
@@ -298,7 +303,7 @@ def test_aggregate_levels_equals_grid_walk(request, kb_name, variant):
     for trial in range(28):
         draw = draws[trial % len(draws)]
         necs = {label: draw() for label in kb.rules}
-        agg = fuzzy.aggregate_levels(necs, kb, variant)
+        agg = _aggregate(necs, kb, variant)
         walk = _grid_walk(necs, kb, variant)
         assert agg.level_truths == walk.level_truths
         assert agg.xs == walk.xs
@@ -382,7 +387,7 @@ def test_aggregate_levels_envelope_on_random_level_sets():
         ]
         for draw in draws:
             necs = draw()
-            agg = fuzzy.aggregate_levels(necs, kb)
+            agg = _aggregate(necs, kb)
             walk = _grid_walk(necs, kb, "triangular")
             assert list(agg.level_truths.items()) == list(walk.level_truths.items())
             _assert_defuzzified_before_mu(agg, walk)
@@ -398,7 +403,7 @@ def test_level_curve_must_be_unimodal():
     assert len(left) + len(rrev) == len(curve) == fuzzy.DEFAULT_RESOLUTION
     assert xc == tuple(x * m for x, m in zip(fuzzy._GRID, curve))
     for truth in (0.0, 0.5, 1.0, 1.5):
-        level = fuzzy._clipped_level(plateau, truth)
+        level = fuzzy._clipped_level(fuzzy._level_curve(plateau), truth)
         clipped = tuple(min(truth, m) for m in curve)
         for p, q in ((0, len(curve)), (0, 1), (100, 400), (240, 260), (600, len(curve))):
             assert fuzzy._slice(level, p, q) == clipped[p:q]
@@ -413,7 +418,7 @@ trustlevel mid = [0.0, 1.0] fmf triangular(0.0, 0.5, 1.0)
 rule R: IF f is on THEN trust is mid
 """
     kb = parse_kb(src).kb
-    agg = fuzzy.aggregate_levels({"R": 1.0}, kb)
+    agg = _aggregate({"R": 1.0}, kb)
     assert fuzzy.defuzzify(agg, "centroid") == pytest.approx(0.5, abs=1e-3)
     assert fuzzy.defuzzify(agg, "mean_of_max") == pytest.approx(0.5, abs=1e-9)
 
@@ -427,7 +432,7 @@ trustlevel band = [0.0, 1.0] fmf trapezoidal(0.4, 0.6, 0.8, 1.0)
 rule R: IF f is on THEN trust is band
 """
     kb = parse_kb(src).kb
-    agg = fuzzy.aggregate_levels({"R": 1.0}, kb)
+    agg = _aggregate({"R": 1.0}, kb)
     xs = [x for x, m in zip(agg.xs, agg.mu) if m >= max(agg.mu) - 1e-9]
     oracle = sum(xs) / len(xs)  # discretized plateau mean
     assert fuzzy.defuzzify(agg, "mean_of_max") == pytest.approx(oracle)
@@ -440,7 +445,7 @@ def test_centroid_converges_with_resolution(kb1, feature_vectors):
     grades = fuzzy.fuzzify(fv, kb1)
     necs = fuzzy.resolve_possibility(kb1, fuzzy.initial_necessities(kb1, grades, ops),
                                      grades, ops)
-    coarse = fuzzy.defuzzify(fuzzy.aggregate_levels(necs, kb1), "centroid")
+    coarse = fuzzy.defuzzify(_aggregate(necs, kb1), "centroid")
     fine = _walk_defuzzify(_grid_walk(necs, kb1, "triangular", 2002), "centroid")
     assert abs(coarse - fine) <= 2 / 1001
 
@@ -451,7 +456,7 @@ def test_output_in_unit_interval(kb1, kb2, feature_vectors):
             grades = fuzzy.fuzzify(fv, kb, "gaussian")
             for op in fuzzy.OPERATORS:
                 necs = fuzzy.resolved_necessities(kb, grades, op)
-                agg = fuzzy.weighted_levels(kb, necs, True, "gaussian")
+                agg = fuzzy.aggregate_levels(fuzzy.level_truths(kb, necs, True, "gaussian"))
                 for method in ("centroid", "mean_of_max"):
                     out = fuzzy.defuzzify(agg, method)
                     assert out is None or 0.0 <= out <= 1.0
