@@ -3,10 +3,12 @@
 Layer 1-2 turn rules into forecast arguments and contradictions into
 mitigating arguments with attacks (mutual-exclusion contradiction pairs
 become rebuttal attacks directly between the two forecast arguments).
-Layer 3 elicits the per-editor sub-framework, optionally filtering attacks
-by argument strength.  Layer 4 computes acceptance (grounded, complete,
-preferred, stable labellings, or categoriser scores).  Layer 5 accrues the
-accepted forecast-argument values into one scalar.
+Layer 3 elicits the per-editor sub-framework from the editor's crisp
+valuation, the one the expert engine retracts over (an argument is active
+when its rule activated, or when its premises hold), optionally filtering
+attacks by argument strength.  Layer 4 computes acceptance (grounded,
+complete, preferred, stable labellings, or categoriser scores).  Layer 5
+accrues the accepted forecast-argument values into one scalar.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ class Argument:
     strength: int
     consequent_level: str | None = None
     attack_kind: str = "rebuttal"  # of every attack it makes
+    rule: str | None = None  # whose activation makes it active; None: its premises
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,7 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
             premises=rule.antecedent,
             strength=kb.rule_weight(rule.label),
             consequent_level=rule.consequent_level,
+            rule=rule.label,
         )
     for c in kb.contradictions.values():
         if c.unresolved:
@@ -92,19 +96,23 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
             premises=premises,
             strength=max(kb.features[f].weight for conj in premises for (f, _t) in conj),
             attack_kind="undercutting" if c.rule is None else "undermining",
+            rule=c.rule,
         )
         attacks.extend((c.label, tgt) for tgt in targets)
     return ArgumentationFramework(args, tuple(attacks))
 
 
-def elicit_subaf(af: ArgumentationFramework, features, kb: KnowledgeBase,
+def elicit_subaf(af: ArgumentationFramework, valuation: expert.Valuation,
                  use_strength: bool = False) -> ArgumentationFramework:
-    """Sub-framework of activated arguments; an attack survives when both
+    """Sub-framework of the arguments active under the editor's crisp
+    valuation: an argument with a rule is active when that rule activated,
+    one without when its premises hold.  An attack survives when both
     endpoints are active and, under strength filtering, the source is at
     least as strong as the target."""
+    activated, holding = valuation
     active = {
         label: arg for label, arg in af.arguments.items()
-        if expert.antecedent_holds(arg.premises, features, kb)
+        if (arg.premises in holding if arg.rule is None else arg.rule in activated)
     }
     attacks = []
     for src, tgt in af.attacks:
@@ -259,12 +267,11 @@ def categoriser(af: ArgumentationFramework) -> dict[str, float]:
     )
 
 
-def argument_value(kb: KnowledgeBase, arg: Argument, features) -> float:
-    """Trust value of an activated forecast argument (same valuation as the
-    expert engine's rules)."""
-    act = expert.evaluate_antecedent(arg.premises, features, kb)
-    level = kb.trust_levels[arg.consequent_level]
-    return expert.rule_value(act.v, act.r_min, act.r_max, level.lower, level.upper)
+# a function of its own, which ``elicit`` calls, because the benchmark's
+# tracer rebinds it by name
+def argument_value(valuation: expert.Valuation, arg: Argument) -> float:
+    """Trust value of an activated forecast argument: its rule's value."""
+    return valuation.activated[arg.rule].value
 
 
 def _accrue_values(pairs: list[tuple[float, int]], weighted: bool) -> float | None:
@@ -355,13 +362,13 @@ class ArgumentationOutcome:
         return trace
 
 
-def elicit(kb: KnowledgeBase, features,
+def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
            use_strength: bool) -> tuple[ArgumentationFramework, dict[str, float]]:
     """The semantics-independent part of a run: the editor's sub-framework
     and the values of its forecast arguments."""
-    subaf = elicit_subaf(kb.framework, features, kb, use_strength)
+    subaf = elicit_subaf(kb.framework, valuation, use_strength)
     values = {
-        a: argument_value(kb, arg, features)
+        a: argument_value(valuation, arg)
         for a, arg in subaf.arguments.items()
         if arg.kind == "forecast"
     }
@@ -389,6 +396,6 @@ def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
 
 def run_argumentation(kb: KnowledgeBase, features, semantics: str,
                       use_strength: bool) -> ArgumentationOutcome:
-    """Full per-editor pipeline: elicit, label, accrue."""
-    subaf, values = elicit(kb, features, use_strength)
+    """Full per-editor pipeline: value, elicit, label, accrue."""
+    subaf, values = elicit(kb, expert.valuation(kb, features), use_strength)
     return label_and_accrue(subaf, values, semantics, use_strength)

@@ -169,19 +169,28 @@ def baseline_feature_average(features: Sequence[EditorFeatures]) -> dict[str, fl
 # Names no fields: the stage is keyed on its input (see _STAGES).
 BY_INPUT = None
 
+# The editor's crisp valuation of a KB, which the expert and argumentation
+# chains both start from.
+_VALUATION = (("kb_id",), lambda kb, _c, vec, _prev: expert.valuation(kb, vec))
+
 # Each engine's per-editor pipeline as a chain of stages.  A stage reads the
 # model fields it names and the previous stage's result.  Its sharing key is
-# the engine plus every field named up to and including it, so the models
-# whose keys agree share that stage's result for an editor.  A stage that
-# names BY_INPUT is keyed on its input instead: its key is the stage and
-# the previous stage's result, which must be hashable, and the stages after
-# it extend that key with their fields.  Per editor the 48 fuzzy models
-# fuzzify 4 times, resolve 12 times and take level truths 24 times, then
-# aggregate once per distinct level truths, whichever KB, operator or
-# weights flag reached them, and defuzzify once per level truths and method.
+# every stage up to and including it, each with the values of the fields it
+# names, so the models whose keys agree share that stage's result for an
+# editor, and a stage listed in two chains is shared across engines.  A
+# stage that names BY_INPUT is keyed on its input instead: its key is the
+# stage and the previous stage's result, which must be hashable, and the
+# stages after it extend that key.  Per editor the 8 expert and 12
+# argumentation models value each KB once, the expert ones then retract
+# once per KB, and the argumentation ones elicit once per (KB, strength
+# filter).  The 48 fuzzy models fuzzify 4 times, resolve 12 times and take
+# level truths 24 times, then aggregate once per distinct level truths,
+# whichever KB, operator or weights flag reached them, and defuzzify once
+# per level truths and method.
 _STAGES = {
     "expert": (
-        (("kb_id",), lambda kb, _c, vec, _prev: expert.surviving_rules(kb, vec)[0]),
+        _VALUATION,
+        ((), lambda kb, _c, _vec, val: expert.resolve_contradictions(kb, val)[0]),
         (("heuristic",), lambda _kb, c, _vec, rules: expert.aggregate(rules, c.heuristic)),
     ),
     "fuzzy": (
@@ -195,8 +204,9 @@ _STAGES = {
         (("defuzz",), lambda _kb, c, _vec, agg: fuzzy.defuzzify(agg, c.defuzz)),
     ),
     "argumentation": (
-        (("kb_id", "use_strength"),
-         lambda kb, c, vec, _prev: argumentation.elicit(kb, vec, c.use_strength)),
+        _VALUATION,
+        (("use_strength",),
+         lambda kb, c, _vec, val: argumentation.elicit(kb, val, c.use_strength)),
         (("semantics",), lambda _kb, c, _vec, elicited: argumentation.label_and_accrue(
             *elicited, c.semantics, c.use_strength).trust),
     ),
@@ -209,10 +219,11 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
 
     For each editor every distinct stage runs once and its result fans out
     to the models that share it.  A stage that raises gives NA to every
-    model sharing it, with one ERROR per model naming model and editor; for
-    a stage keyed on its input, those are the models whose chains reached
-    that input.  An unknown engine raises ``ValueError``, and a selected KB
-    reading a feature that the feature vector lacks raises
+    model sharing it, with one ERROR per model naming model and editor: a
+    failed valuation of a KB gives NA to that KB's expert and argumentation
+    models, and for a stage keyed on its input, those are the models whose
+    chains reached that input.  An unknown engine raises ``ValueError``, and
+    a selected KB reading a feature that the feature vector lacks raises
     ``expert.MissingFeatureError``, before any editor is evaluated.
     """
     chains = []
@@ -221,15 +232,15 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
         if stages is None:
             raise ValueError(f"model {config.id}: unknown engine {config.engine!r}")
         # a static key is whole; from a stage keyed on its input on, the key
-        # holds only the fields named since, and the walk over an editor
-        # prefixes it with that stage and its input
-        key: tuple = (config.engine,)
+        # holds only the stages since, and the walk over an editor prefixes
+        # it with that stage and its input
+        key: tuple = ()
         keyed = []
         for fields, run in stages:
             if fields is BY_INPUT:
                 key = ()
             else:
-                key += tuple(getattr(config, name) for name in fields)
+                key += (run, *(getattr(config, name) for name in fields))
             keyed.append((key, run, fields is BY_INPUT))
         chains.append((config, kb_set[config.kb_id], keyed))
     for kb_id in dict.fromkeys(config.kb_id for config in selected):
@@ -338,7 +349,8 @@ def run_matrix(
                 _ = kb.cap_layers
                 fuzzy.level_set(kb, config.fmf_variant)
             else:
-                _ = kb.framework if config.engine == "argumentation" else kb.layers
+                _ = kb.premise_antecedents, (
+                    kb.framework if config.engine == "argumentation" else kb.layers)
         size = max(1, n // (workers * CHUNKS_PER_WORKER))
         chunks = [features[i:i + size] for i in range(0, n, size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

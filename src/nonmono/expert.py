@@ -4,12 +4,15 @@ Rules activate on crisp range membership, contradictions retract activated
 rules (processed in precedence layers, each layer deciding all its firings
 before it applies any, so mutually contradicting rules knock each other
 out), and the surviving rules are valued and aggregated into one trust
-scalar.
+scalar.  An editor's crisp valuation of a knowledge base (the activated
+rules and the contradiction premises that hold) is computed once; the
+retraction here and the argumentation elicitation both read it.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kb.model import Dnf, KnowledgeBase
 
@@ -53,18 +56,16 @@ def evaluate_antecedent(antecedent: Dnf, features, kb: KnowledgeBase) -> Activat
     satisfied: list[tuple[float, float, float]] = []
     for conj in antecedent:
         v = r_min = r_max = None
-        holds = True
         for fname, tlabel in conj:
             term = kb.terms[(fname, tlabel)]
             x = features[fname]
             if not term.contains(x):
-                holds = False
                 break
             x = min(x, term.upper)
             v = x if v is None else min(v, x)
             r_min = term.lower if r_min is None else min(r_min, term.lower)
             r_max = term.upper if r_max is None else min(r_max, term.upper)
-        if holds:
+        else:
             satisfied.append((v, r_min, r_max))
     if not satisfied:
         return None
@@ -73,19 +74,6 @@ def evaluate_antecedent(antecedent: Dnf, features, kb: KnowledgeBase) -> Activat
         r_min=max(s[1] for s in satisfied),
         r_max=max(s[2] for s in satisfied),
     )
-
-
-def antecedent_holds(antecedent: Dnf, features, kb: KnowledgeBase) -> bool:
-    """Boolean DNF truth over crisp range membership."""
-    for conj in antecedent:
-        ok = True
-        for fname, tlabel in conj:
-            if not kb.terms[(fname, tlabel)].contains(features[fname]):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def rule_value(v: float, r_min: float, r_max: float, l_c: float, u_c: float) -> float:
@@ -120,30 +108,46 @@ def activate_rules(kb: KnowledgeBase, features) -> dict[str, ActivatedRule]:
     return out
 
 
+class Valuation(NamedTuple):
+    """An editor's crisp valuation of a knowledge base: the activated rules
+    in knowledge-base order, and the distinct contradiction premise
+    antecedents that hold."""
+
+    activated: dict[str, ActivatedRule]
+    holding: frozenset[Dnf]
+
+
+def valuation(kb: KnowledgeBase, features) -> Valuation:
+    """Every rule antecedent and every distinct contradiction premise
+    antecedent, each evaluated once."""
+    activated = activate_rules(kb, features)
+    return Valuation(activated, frozenset(
+        p for p in kb.premise_antecedents if evaluate_antecedent(p, features, kb) is not None))
+
+
 def resolve_contradictions(
-    kb: KnowledgeBase,
-    activated: dict[str, ActivatedRule],
-    features,
-) -> tuple[dict[str, ActivatedRule], tuple[tuple[str, str], ...]]:
-    """Retract activated rules hit by fired contradictions.
+    kb: KnowledgeBase, valuation: Valuation,
+) -> tuple[tuple[ActivatedRule, ...], tuple[tuple[str, str], ...]]:
+    """Retract activated rules hit by fired contradictions: the surviving
+    rules in knowledge-base order and the (rule, contradiction) retractions.
 
     Contradictions are processed layer by layer along the precedence graph.
     A layer decides which of its contradictions fire, from the state at layer
     entry, before it applies any of them, so topologically incomparable
     contradictions (including cyclic groups) act simultaneously and cannot
-    shadow one another.  A contradiction retracted in an earlier layer no
-    longer fires; a rule retracted in an earlier layer no longer discharges
-    the contradictions whose antecedent it is.
+    shadow one another.  Premises fire a contradiction when they hold in the
+    valuation.  A contradiction retracted in an earlier layer no longer
+    fires; a rule retracted in an earlier layer no longer discharges the
+    contradictions whose antecedent it is.
     """
-    surviving = dict(activated)
+    surviving = dict(valuation.activated)
     retracted: set[str] = set()
     discarded: list[tuple[str, str]] = []
     for layer in kb.layers:
         fired = [
             e for e in layer
             if e.label not in retracted
-            and (e.rule in surviving if e.premises is None
-                 else antecedent_holds(e.premises, features, kb))
+            and (e.rule in surviving if e.premises is None else e.premises in valuation.holding)
         ]
         for e in fired:
             for target in e.rule_targets:
@@ -151,7 +155,7 @@ def resolve_contradictions(
                     del surviving[target]
                     discarded.append((target, e.label))
             retracted.update(e.contradiction_targets)
-    return surviving, tuple(discarded)
+    return tuple(surviving.values()), tuple(discarded)
 
 
 def _mean(values) -> float:
@@ -191,14 +195,4 @@ def aggregate(surviving, heuristic: str) -> float | None:
     else:
         means = [_mean(r.value for r in g) for g in largest]
     return _mean(means)
-
-
-def surviving_rules(
-    kb: KnowledgeBase, features,
-) -> tuple[tuple[ActivatedRule, ...], tuple[tuple[str, str], ...]]:
-    """Activation and retraction, the heuristic-independent part of a run:
-    the surviving rules in knowledge-base order and the retractions."""
-    activated = activate_rules(kb, features)
-    surviving, discarded = resolve_contradictions(kb, activated, features)
-    return tuple(surviving[label] for label in kb.rules if label in surviving), discarded
 

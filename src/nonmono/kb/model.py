@@ -218,9 +218,10 @@ class Contradiction:
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Features, trust levels, rules and contradictions.  The structures
-    derived from them (contradiction layers, their possibilistic cap tables,
-    fuzzy level sets, argumentation framework, rule weights) are built on
-    first use and kept with the knowledge base."""
+    derived from them (distinct contradiction premises, contradiction layers,
+    their possibilistic cap tables, fuzzy level sets, argumentation
+    framework, rule weights) are built on first use and kept with the
+    knowledge base."""
 
     id: str
     features: dict[str, Feature]
@@ -280,6 +281,12 @@ class KnowledgeBase:
     def terms(self) -> dict[Premise, LinguisticTerm]:
         """The linguistic term of every ``(feature, term)`` premise."""
         return {(name, t.label): t for name, f in self.features.items() for t in f.terms}
+
+    @cached_property
+    def premise_antecedents(self) -> tuple[Dnf, ...]:
+        """The distinct premise antecedents of the contradictions."""
+        return tuple(dict.fromkeys(
+            c.premises for c in self.contradictions.values() if c.premises is not None))
 
     @cached_property
     def layers(self) -> tuple[tuple[Contradiction, ...], ...]:

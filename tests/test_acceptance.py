@@ -119,7 +119,8 @@ def test_criterion_6_cross_engine_oracle(kb1, feature_vectors):
     bare = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels, kb1.rules, {})
     worst = 0.0
     for fv in feature_vectors.values():
-        h3 = expert.aggregate(expert.surviving_rules(bare, fv)[0], "h3")
+        survivors, _discarded = expert.resolve_contradictions(bare, expert.valuation(bare, fv))
+        h3 = expert.aggregate(survivors, "h3")
         for semantics in ("grounded", "preferred", "categoriser", "stable"):
             out = arg.run_argumentation(bare, fv, semantics, False).trust
             worst = max(worst, abs(out - h3))

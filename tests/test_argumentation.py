@@ -16,7 +16,7 @@ PHI = (math.sqrt(5) - 1) / 2
 
 def toy_af(strengths: dict[str, int], attacks):
     args = {
-        label: arg.Argument(label, "forecast", ((("f", "on"),),), s, "high")
+        label: arg.Argument(label, "forecast", ((("f", "on"),),), s, "high", rule=label)
         for label, s in strengths.items()
     }
     return arg.ArgumentationFramework(args, tuple(attacks))
@@ -78,13 +78,16 @@ feature f weight 1 domain [0.0, 1.0] {
     term on = [0.0, 1.0] fmf crisp(0.0, 1.0)
 }
 trustlevel low = [0.0, 1.0] fmf crisp(0.0, 1.0)
+rule A: IF f is on THEN trust is low
+rule B: IF f is on THEN trust is low
 """
     kb = parse_kb(src).kb
     af = toy_af({"A": 5, "B": 3}, [("A", "B"), ("B", "A")])
-    kept = arg.elicit_subaf(af, src_feats, kb, use_strength=True)
+    valuation = expert.valuation(kb, src_feats)
+    kept = arg.elicit_subaf(af, valuation, use_strength=True)
     assert ("A", "B") in kept.attacks
     assert ("B", "A") not in kept.attacks
-    binary = arg.elicit_subaf(af, src_feats, kb, use_strength=False)
+    binary = arg.elicit_subaf(af, valuation, use_strength=False)
     assert set(binary.attacks) == {("A", "B"), ("B", "A")}
 
 
@@ -92,7 +95,7 @@ def test_elicit_drops_inactive_endpoints(kb1):
     fv = dict(pages=1, activity=1, anonymous=1, not_minor=0.5, comments=0.1,
               presence=0.5, frequency=0.5, regularity=0.5, bytes=50)
     af = arg.build_af(kb1)
-    sub = arg.elicit_subaf(af, fv, kb1)
+    sub = arg.elicit_subaf(af, expert.valuation(kb1, fv))
     # CC17 attacks C4; C4 inactive here, so the attack must be gone
     assert "CC17" in sub.arguments
     assert all(t != "C4" for _s, t in sub.attacks)
@@ -104,13 +107,17 @@ feature f weight 1 domain [0.0, 1.0] {
     term on = [0.0, 1.0] fmf crisp(0.0, 1.0)
 }
 trustlevel low = [0.0, 1.0] fmf crisp(0.0, 1.0)
+rule A: IF f is on THEN trust is low
+rule B: IF f is on THEN trust is low
+rule C: IF f is on THEN trust is low
 """
     kb = parse_kb(src).kb
     attacks = [("A", "B"), ("B", "C"), ("C", "A"), ("B", "A")]
     base = toy_af({"A": 1, "B": 4, "C": 2}, attacks)
     scaled = toy_af({"A": 3, "B": 12, "C": 6}, attacks)
-    kept_base = arg.elicit_subaf(base, {"f": 0.5}, kb, use_strength=True).attacks
-    kept_scaled = arg.elicit_subaf(scaled, {"f": 0.5}, kb, use_strength=True).attacks
+    valuation = expert.valuation(kb, {"f": 0.5})
+    kept_base = arg.elicit_subaf(base, valuation, use_strength=True).attacks
+    kept_scaled = arg.elicit_subaf(scaled, valuation, use_strength=True).attacks
     assert kept_base == kept_scaled
 
 
@@ -313,7 +320,7 @@ def _fixture_subafs(kbs, feature_vectors):
     for kb in kbs:
         for fv in feature_vectors.values():
             for use_strength in (False, True):
-                yield arg.elicit_subaf(kb.framework, fv, kb, use_strength)
+                yield arg.elicit_subaf(kb.framework, expert.valuation(kb, fv), use_strength)
 
 
 def test_categoriser_matches_dict_jacobi(kb1, kb2, feature_vectors):
@@ -393,7 +400,8 @@ def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):
     for kb in (kb1, kb2):
         bare = KnowledgeBase(kb.id, kb.features, kb.trust_levels, kb.rules, {})
         for fv in feature_vectors.values():
-            h3 = expert.aggregate(expert.surviving_rules(bare, fv)[0], "h3")
+            survivors, _discarded = expert.resolve_contradictions(bare, expert.valuation(bare, fv))
+            h3 = expert.aggregate(survivors, "h3")
             for semantics in ("grounded", "preferred", "categoriser", "stable"):
                 out = arg.run_argumentation(bare, fv, semantics, False).trust
                 assert out == pytest.approx(h3, abs=1e-12)
@@ -407,8 +415,9 @@ def test_grounded_in_forecast_vs_expert_survivors(kb1, kb2, feature_vectors):
     for kb, exact in ((kb1, True), (kb2, False)):
         af = arg.build_af(kb)
         for fv in feature_vectors.values():
-            survivors = {r.rule_label for r in expert.surviving_rules(kb, fv)[0]}
-            sub = arg.elicit_subaf(af, fv, kb)
+            valuation = expert.valuation(kb, fv)
+            survivors = {r.rule_label for r in expert.resolve_contradictions(kb, valuation)[0]}
+            sub = arg.elicit_subaf(af, valuation)
             lab = arg.grounded(sub)
             in_forecast = {a for a in lab.in_set() if sub.arguments[a].kind == "forecast"}
             if exact:

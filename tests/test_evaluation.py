@@ -155,7 +155,8 @@ def test_run_matrix_single_model_oracle(kb1, kb2, fixture_features, barnstars):
     config, triple = rows[0]
     assert config.id == "E3"
     trust = {
-        f.editor_id: expert.aggregate(expert.surviving_rules(kb1, f.as_dict())[0], "h3")
+        f.editor_id: expert.aggregate(
+            expert.resolve_contradictions(kb1, expert.valuation(kb1, f.as_dict()))[0], "h3")
         for f in fixture_features
     }
     direct = metric_triple(trust, barnstars)
@@ -363,10 +364,16 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
     distinct = [len(set(_walked_level_truths(kb_set, f.as_dict()).values())) for f in editors]
     # the editors between them reach shared and unshared level truths
     assert min(distinct) < 24 and len(set(distinct)) > 1
+    # each distinct rule antecedent and contradiction premise of each KB, walked
+    # once per editor by the valuation the expert and argumentation models share
+    antecedents = sum(len({r.antecedent for r in kb.rules.values()}
+                          | {c.premises for c in kb.contradictions.values() if c.premises})
+                      for kb in kb_set.values())
     calls = {}
     for module, name in ((fuzzy, "fuzzify"), (fuzzy, "resolve_possibility"),
                          (fuzzy, "aggregate_levels"), (fuzzy, "defuzzify"),
-                         (expert, "activate_rules"), (argumentation, "elicit_subaf")):
+                         (expert, "valuation"), (expert, "activate_rules"),
+                         (expert, "evaluate_antecedent"), (argumentation, "elicit_subaf")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
@@ -375,7 +382,8 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
         calls.clear()
         run_matrix(kb_set, [editor], barnstars, jobs=1)
         assert calls == {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": n,
-                         "defuzzify": 2 * n, "activate_rules": 2, "elicit_subaf": 4}, editor
+                         "defuzzify": 2 * n, "valuation": 2, "activate_rules": 2,
+                         "evaluate_antecedent": antecedents, "elicit_subaf": 4}, editor
 
 
 def test_fuzzy_models_never_build_the_output_curve(kb1, kb2, fixture_features, barnstars,
@@ -470,7 +478,7 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
     clean = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
     victim = fixture_features[1]
     real_fuzzify, real_elicit = fuzzy.fuzzify, argumentation.elicit
-    real_aggregate = fuzzy.aggregate_levels
+    real_aggregate, real_valuation = fuzzy.aggregate_levels, expert.valuation
     # one aggregation input fails: FL1's at the victim, wherever it is reached
     walked = {f.editor_id: _walked_level_truths(kb_set, f.as_dict()) for f in fixture_features}
     reached = [(mid, editor) for editor, by_model in walked.items()
@@ -493,19 +501,32 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
             raise RuntimeError("fuzzify boom")
         return real_fuzzify(features, kb, variant)
 
-    def elicit(kb, features, use_strength):
-        if features == victim.as_dict() and kb is kb1 and use_strength:
+    # the victim's KB1 valuation is no other editor's
+    victim_valuation = real_valuation(kb1, victim.as_dict())
+    assert [f for f in fixture_features
+            if real_valuation(kb1, f.as_dict()) == victim_valuation] == [victim]
+
+    def elicit(kb, valuation, use_strength):
+        if valuation == victim_valuation and kb is kb1 and use_strength:
             raise RuntimeError("elicit boom")
-        return real_elicit(kb, features, use_strength)
+        return real_elicit(kb, valuation, use_strength)
+
+    def valuation(kb, features):
+        if features == victim.as_dict() and kb is kb2:
+            raise RuntimeError("valuation boom")
+        return real_valuation(kb, features)
 
     monkeypatch.setattr(fuzzy, "fuzzify", fuzzify)
     monkeypatch.setattr(argumentation, "elicit", elicit)
     monkeypatch.setattr(fuzzy, "aggregate_levels", aggregate_levels)
+    monkeypatch.setattr(expert, "valuation", valuation)
     with caplog.at_level(logging.ERROR, logger="nonmono"):
         broken = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
-    # FC13-FC24 are the gaussian KB2 models; A4-A6 the strength-filtered KB1 ones
+    # FC13-FC24 are the gaussian KB2 models; A4-A6 the strength-filtered KB1
+    # ones; E5-E8 and A7-A12 the KB2 models that share its valuation
     failed = [(mid, victim.editor_id) for mid in
-              [f"FC{i}" for i in range(13, 25)] + ["A4", "A5", "A6"]] + reached
+              [f"FC{i}" for i in range(13, 25)] + ["A4", "A5", "A6"]
+              + [f"E{i}" for i in range(5, 9)] + [f"A{i}" for i in range(7, 13)]] + reached
     for mid, trust in clean.items():
         expected = dict(trust, **{editor: None for m, editor in failed if m == mid})
         assert broken[mid] == expected, mid

@@ -73,17 +73,17 @@ def test_value_within_consequent_range(kb1, feature_vectors):
 
 def test_contradiction_discards_rule(kb1):
     fv = vec(not_minor=0.01, bytes=1000)  # NM1 and B1 both active
-    surviving, discarded = expert.surviving_rules(kb1, fv)
+    surviving, discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
     assert ("B1", "CC1") in discarded
     assert all(r.rule_label != "B1" for r in surviving)
 
 
 def test_no_contradictions_keeps_all(kb1):
     fv = vec(comments=0.8, bytes=1000)  # nothing anonymous, nothing flagged low
-    activated = expert.activate_rules(kb1, fv)
-    surviving, discarded = expert.resolve_contradictions(kb1, activated, fv)
+    valuation = expert.valuation(kb1, fv)
+    surviving, discarded = expert.resolve_contradictions(kb1, valuation)
     assert discarded == ()
-    assert set(surviving) == set(activated)
+    assert surviving == tuple(valuation.activated.values())
 
 
 def test_mutual_contradictions_discard_both():
@@ -102,7 +102,7 @@ contradiction M: rule X MUTEX rule Y
 """
     kb = parse_kb(src).kb
     fv = {"f": 0.5, "g": 0.5}
-    surviving, discarded = expert.surviving_rules(kb, fv)
+    surviving, discarded = expert.resolve_contradictions(kb, expert.valuation(kb, fv))
     assert surviving == ()
     assert expert.aggregate(surviving, "h3") is None
     assert {d[0] for d in discarded} == {"X", "Y"}
@@ -114,7 +114,7 @@ def test_snapshot_keeps_same_layer_antecedents(kb1):
     # survives
     fv = vec(anonymous=1, not_minor=0.6, comments=0.8, presence=0.3,
              frequency=0.1, regularity=0.1, activity=2, pages=1, bytes=50)
-    surviving, discarded = expert.surviving_rules(kb1, fv)
+    surviving, discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
     assert ("NM2", "CC28") in discarded
     assert any(r.rule_label == "P2" for r in surviving)
     assert all(d[1] != "OnlyAge.c" for d in discarded)
@@ -134,13 +134,14 @@ contradiction A: IF f is on THEN NOT contradiction B
 contradiction B: IF rule R THEN NOT rule S
 """
     kb = parse_kb(src).kb
-    surviving, _discarded = expert.surviving_rules(kb, {"f": 0.5})
+    surviving, _discarded = expert.resolve_contradictions(kb, expert.valuation(kb, {"f": 0.5}))
     assert {r.rule_label for r in surviving} == {"R", "S"}
 
 
 def test_mixed_targets_retract_rule_and_contradiction(mixed_kb):
     # A fires in layer 0: it retracts rule S and disarms B, so T survives
-    surviving, discarded = expert.surviving_rules(mixed_kb, {"f": 0.3, "g": 0.9})
+    valuation = expert.valuation(mixed_kb, {"f": 0.3, "g": 0.9})
+    surviving, discarded = expert.resolve_contradictions(mixed_kb, valuation)
     assert discarded == (("S", "A"),)
     assert [r.rule_label for r in surviving] == ["R", "T"]
 
@@ -181,7 +182,7 @@ def test_aggregate_empty_is_na():
 def test_h3_equals_mean_without_contradictions(kb1, feature_vectors):
     # oracle: with no contradictions fired, h3 equals the plain mean of values
     for fv in feature_vectors.values():
-        surviving, discarded = expert.surviving_rules(kb1, fv)
+        surviving, discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
         if discarded:
             continue
         values = [r.value for r in surviving]
@@ -191,7 +192,7 @@ def test_h3_equals_mean_without_contradictions(kb1, feature_vectors):
 def test_trust_always_in_unit_interval(kb1, kb2, feature_vectors):
     for kb in (kb1, kb2):
         for fv in feature_vectors.values():
-            surviving, _discarded = expert.surviving_rules(kb, fv)
+            surviving, _discarded = expert.resolve_contradictions(kb, expert.valuation(kb, fv))
             for h in expert.HEURISTICS:
                 trust = expert.aggregate(surviving, h)
                 assert trust is None or 0.0 <= trust <= 1.0
@@ -205,10 +206,10 @@ def test_layer_order_independence(kb1, feature_vectors):
 
     rng = random.Random(7)
     for fv in feature_vectors.values():
-        base, _discarded = expert.surviving_rules(kb1, fv)
+        base, _discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
         items = list(kb1.contradictions.items())
         rng.shuffle(items)
         shuffled = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels,
                                  kb1.rules, dict(items))
-        out, _discarded = expert.surviving_rules(shuffled, fv)
+        out, _discarded = expert.resolve_contradictions(shuffled, expert.valuation(shuffled, fv))
         assert {r.rule_label for r in out} == {r.rule_label for r in base}
