@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=None, help="comma-separated model ids")
     p.add_argument("--dataset", default="dataset")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes; 0 = the CPUs this process may run on")
+                   help="processes, this one included; 0 = the CPUs this process may run on")
     p.add_argument("--plots", action="store_true")
     p.add_argument("--plot-dir", default=None)
     p.set_defaults(func=cmd_run_matrix)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -284,26 +285,88 @@ def run_model(config: ModelConfig, kb: KnowledgeBase,
     return _evaluate([config], {config.kb_id: kb}, features)[config.id]
 
 
-# Chunks per worker in a pooled run: enough that a worker freed early takes
-# over editors the other would otherwise run last (per-editor cost is heavy
-# tailed), few enough that task traffic stays small on large inputs.
+# Chunks per process in a pooled run: enough that a process freed early takes
+# over editors another would otherwise run last (per-editor cost is heavy
+# tailed), few enough that claims stay rare on large inputs.
 CHUNKS_PER_WORKER = 8
 
-_worker_plan: tuple[Sequence[ModelConfig], Mapping[str, KnowledgeBase]] | None = None
+# What one helper process costs the run, in seconds: forking it, the time
+# until it claims a chunk, its first chunk running slower than it would here
+# (copy-on-write faults and cold caches over every structure the models
+# read), waiting for its last chunk, and joining it.  A helper that finds
+# no chunk costs about 8 ms on a 2-vCPU host (A7 alone on 2 to 5 editors);
+# one that works cost 15 to 45 ms there, in alternating runs with one
+# helper forced against none, over all 68 models on 6 to 12 editors, the 48
+# fuzzy models on 10 to 18 and A7 on 50 to 140.
+HELPER_START_S = 0.025
 
 
-def _init_worker(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase]) -> None:
-    """Pool initializer: hold the selection and the knowledge bases, with
-    the structures they have built, once per worker, so that a task carries
-    only its editors."""
-    global _worker_plan
-    _worker_plan = (selected, kb_set)
+def _run_share(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase],
+               features: Sequence[EditorFeatures], size: int,
+               counter) -> dict[int, dict[str, dict[str, float | None]]]:
+    """Claim chunks of ``size`` editors off the shared counter until none
+    are left; the trust of every selected model over each claimed chunk, by
+    chunk index."""
+    parts = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i * size >= len(features):
+            return parts
+        parts[i] = _evaluate(selected, kb_set, features[i * size:(i + 1) * size])
 
 
-def _run_chunk(features: Sequence[EditorFeatures]) -> dict[str, dict[str, float | None]]:
-    """Pool task: every selected model over one chunk of editors."""
-    selected, kb_set = _worker_plan
-    return _evaluate(selected, kb_set, features)
+def _helper(conn, *share) -> None:
+    """Helper process: run a share of the chunks and send its parts, or the
+    exception that stopped it, in one message."""
+    try:
+        result = _run_share(*share)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _run_pooled(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase],
+                features: Sequence[EditorFeatures], helpers: int) -> list[dict]:
+    """Every selected model over ``features`` in this process and ``helpers``
+    helper processes, which claim chunks off one shared counter; the parts
+    in chunk order.  A helper's exception is raised here, as is a
+    ``RuntimeError`` for a helper that died without sending.  Every helper
+    is joined, and terminated first if this process or a helper raised."""
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("i", 0)
+    size = max(1, len(features) // ((helpers + 1) * CHUNKS_PER_WORKER))
+    share = (selected, kb_set, features, size, counter)
+    started = []
+    try:
+        for _ in range(helpers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_helper, args=(send, *share), daemon=True)
+            proc.start()
+            started.append((proc, recv))
+            send.close()
+        parts = _run_share(*share)
+        for proc, recv in started:
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"pool helper {proc.pid} exited with code "
+                                   f"{proc.exitcode} before sending its results") from None
+            if isinstance(result, Exception):
+                raise result
+            parts.update(result)
+    except BaseException:
+        for proc, _recv in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in started:
+            proc.join()
+            recv.close()
+    return [parts[i] for i in sorted(parts)]
 
 
 def select_models(model_filter: Iterable[str] | None = None) -> list[ModelConfig]:
@@ -329,19 +392,25 @@ def run_matrix(
     """Run the selected models over all editors and compute their metrics.
 
     Editors are evaluated one at a time, each distinct stage once and shared
-    by the models that agree on it.  ``jobs > 1`` starts that many worker
-    processes (at most one per editor); they take contiguous chunks of
-    editors, about ``CHUNKS_PER_WORKER`` each, as they become free, and run
-    every selected model over them.  The KB structures and the fuzzy level
-    sets, with their curves, that the selected models read are built before
-    the workers start, which inherit them.  The output, including its
-    registry order, depends on neither ``jobs`` nor which other models are
-    selected.  One WARNING
-    lists the models whose rank or spread is undefined.
+    by the models that agree on it.  ``jobs > 1`` runs on up to that many
+    processes, this one included (at most one per editor).  This process
+    evaluates the first editor alone and times it, which predicts the work
+    W of the other editors.  It then starts helper processes, up to
+    ``jobs - 1``, while the next one would save more than it costs: the
+    k-th cuts W / k to W / (k + 1) and costs ``HELPER_START_S``, so the
+    first starts only if W exceeds twice that, and a small run starts
+    none.  Every process then claims contiguous chunks of the other
+    editors, about ``CHUNKS_PER_WORKER`` per process, off one shared counter
+    until none are left, and runs every selected model over them.  The KB
+    structures and the fuzzy level sets, with their curves, that the
+    selected models read are built before the helpers start, which inherit
+    them.  No helper outlives the call, whether it returns or raises.  The
+    output, including its registry order, depends on neither ``jobs`` nor
+    which other models are selected.  One WARNING lists the models whose
+    rank or spread is undefined.
     """
     selected = select_models(model_filter)
-    n = len(features)
-    workers = min(jobs, n)
+    workers = min(jobs, len(features))
     if workers > 1 and selected:
         for config in selected:
             kb = kb_set[config.kb_id]
@@ -351,14 +420,22 @@ def run_matrix(
             else:
                 _ = kb.premise_antecedents, (
                     kb.framework if config.engine == "argumentation" else kb.layers)
-        size = max(1, n // (workers * CHUNKS_PER_WORKER))
-        chunks = [features[i:i + size] for i in range(0, n, size)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(selected, kb_set)) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+        # the first editor, alone, predicts what the rest will cost; the
+        # k-th helper takes about predicted / (k * (k + 1)) off this process
+        start = time.perf_counter()
+        trust_by_model = _evaluate(selected, kb_set, features[:1])
+        rest = features[1:]
+        predicted = (time.perf_counter() - start) * len(rest)
+        helpers = 0
+        while (helpers < workers - 1
+               and predicted > (helpers + 1) * (helpers + 2) * HELPER_START_S):
+            helpers += 1
+        if helpers:
+            parts = _run_pooled(selected, kb_set, rest, helpers)
+        else:
+            parts = [_evaluate(selected, kb_set, rest)]
         # merging in chunk order keeps every trust dict in input editor
         # order, the order in which spread() sums
-        trust_by_model = {config.id: {} for config in selected}
         for part in parts:
             for mid, trust in part.items():
                 trust_by_model[mid].update(trust)

@@ -255,7 +255,7 @@ _LEVEL_SETS: WeakValueDictionary[tuple[tuple[str, Fmf], ...], LevelSet] = WeakVa
 
 def level_set(kb: KnowledgeBase, variant: str | None) -> LevelSet:
     """``kb``'s trust levels under ``variant``, built on the KB's first use
-    of the variant and kept in ``kb.level_sets``, so that worker processes
+    of the variant and kept in ``kb.level_sets``, so that helper processes
     forked afterwards inherit it with its curves."""
     found = kb.level_sets.get(variant)
     if found is None:

@@ -53,10 +53,11 @@ def parse_timestamp(text: str) -> datetime:
 
 
 # The slots of a revision being read, then what else an element may set or
-# open.  Per context, a table maps element names to these.  Text fields and
-# contexts are read from direct children only; <page> opens anywhere outside
-# a page, and <minor>, <text> and a deleted <contributor> count anywhere in
-# a revision.
+# open.  Per context, a table maps element names to these.  Text fields,
+# <text> and contexts are read from direct children only, so a non-main
+# slot's <content><text> is not the revision's; <page> opens anywhere outside
+# a page, and <minor> and a deleted <contributor> count anywhere in a
+# revision.
 (_ID, _TIMESTAMP, _EDITOR, _COMMENT, _ANONYMOUS, _MINOR, _BYTES, _DELETED,
  _PAGE_ID, _PAGE, _REVISION) = range(11)
 _OUTSIDE_FIELDS = {"page": _PAGE}
@@ -64,8 +65,8 @@ _PAGE_FIELDS = {"id": _PAGE_ID, "revision": _REVISION}
 _REVISION_FIELDS = {"id": _ID, "timestamp": _TIMESTAMP, "comment": _COMMENT,
                     "username": _EDITOR, "ip": _EDITOR, "minor": _MINOR,
                     "text": _BYTES, "contributor": _DELETED}
-# a contributor's own <id> is not the revision's
-_CONTRIBUTOR_FIELDS = {k: v for k, v in _REVISION_FIELDS.items() if k != "id"}
+# a contributor's own <id> is not the revision's, nor is a <text> in it
+_CONTRIBUTOR_FIELDS = {k: v for k, v in _REVISION_FIELDS.items() if k not in ("id", "text")}
 
 
 class _RevisionHandler:
@@ -95,6 +96,8 @@ class _RevisionHandler:
         if slot == _MINOR:
             rev[_MINOR] = True
         elif slot == _BYTES:
+            if self._depth != 1:
+                return
             try:
                 rev[_BYTES] = int(attrs["bytes"])
             except (KeyError, ValueError):

@@ -1,7 +1,9 @@
 import dataclasses
 import logging
+import multiprocessing
 import os
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -18,8 +20,14 @@ from nonmono.evaluation import (
     spread,
 )
 from nonmono.ingest import EditorFeatures
-from nonmono.kb import load_builtin
+from nonmono.kb import load_builtin, parse_kb
 from nonmono.kb.model import Fmf
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_the_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def make_features(editor_id, **kw):
@@ -223,9 +231,44 @@ def test_run_matrix_independent_of_jobs(kb1, kb2, fixture_features, barnstars):
     assert run_matrix(kb_set, three, stars, jobs=4) == run_matrix(kb_set, three, stars, jobs=1)
 
 
-def test_pooled_chunks_keep_editor_order(kb1, kb2, monkeypatch):
-    # 37 editors at jobs 2 go out as 19 chunks (18 of 2 editors, the last of
-    # 1) to whichever worker is free; the merge must restore input order
+def _pooled_evaluate(monkeypatch, tmp_path, in_helper=None, in_caller=None):
+    """Make every run at ``jobs > 1`` start its helpers and wrap
+    ``_evaluate``: each call appends its process id to a file, and the
+    caller, from its second call on (after the first-editor probe), waits
+    until a helper has called, so that the helpers take chunks however fast
+    the caller is.  ``in_helper`` and ``in_caller`` then run before the real
+    call.  Returns a function giving the recorded process ids."""
+    monkeypatch.setattr(evaluation, "HELPER_START_S", 1e-9)
+    path = tmp_path / "pids"
+    path.write_text("")
+    caller, calls, real = os.getpid(), [], evaluation._evaluate
+
+    def pids():
+        return {int(pid) for pid in path.read_text().split()}
+
+    def evaluate(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != caller:
+            if in_helper is not None:
+                in_helper()
+        else:
+            calls.append(args)
+            deadline = time.monotonic() + 10
+            while len(calls) > 1 and pids() == {caller} and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if len(calls) > 1 and in_caller is not None:
+                in_caller()
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "_evaluate", evaluate)
+    return pids
+
+
+def test_pooled_chunks_keep_editor_order(kb1, kb2, monkeypatch, tmp_path):
+    # the first of 37 editors runs alone in the caller; the other 36 go out
+    # as 18 chunks of 2 editors to whichever process claims them next; the
+    # merge must restore input order
     rng = random.Random(7101)
     editors = []
     for i in range(37):
@@ -239,10 +282,119 @@ def test_pooled_chunks_keep_editor_order(kb1, kb2, monkeypatch):
     models = ["E1", "E5", "FL1", "FC13", "A1", "A10"]
     assert len(editors) // (2 * evaluation.CHUNKS_PER_WORKER) == 2
     serial = _trust_of_run(monkeypatch, kb_set, editors, stars, models, jobs=1)
+    pids = _pooled_evaluate(monkeypatch, tmp_path)
     pooled = _trust_of_run(monkeypatch, kb_set, editors, stars, models, jobs=2)
+    assert len(pids()) == 2
     assert pooled == serial
     order = [f.editor_id for f in editors]
     assert all(list(trust) == order for trust in pooled.values())
+
+
+def test_every_chunk_is_claimed_once(kb1, kb2, monkeypatch, tmp_path):
+    # four processes on a smaller host claim 199 one-editor chunks; a lost
+    # update of the shared counter would run a chunk twice or skip one
+    editors = [make_features(f"u{i}", comments=i / 200) for i in range(200)]
+    monkeypatch.setattr(evaluation, "CHUNKS_PER_WORKER", 1000)
+    monkeypatch.setattr(evaluation, "HELPER_START_S", 1e-9)
+    path, real = tmp_path / "chunks", evaluation._evaluate
+
+    def evaluate(selected, kb_set, features):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {','.join(f.editor_id for f in features)}\n")
+        return real(selected, kb_set, features)
+
+    monkeypatch.setattr(evaluation, "_evaluate", evaluate)
+    start = time.monotonic()
+    run_matrix({"KB1": kb1, "KB2": kb2}, editors, set(), ["A7"], jobs=4)
+    assert time.monotonic() - start < 60
+    claimed = [line.split()[1] for line in path.read_text().splitlines()]
+    assert sorted(claimed) == sorted(f.editor_id for f in editors)
+
+
+def test_pooled_run_under_spawn_equals_jobs_1(kb1, kb2, fixture_features, barnstars,
+                                              monkeypatch):
+    # a spawned helper starts from a fresh import: everything it is handed pickles
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    models = ["E1", "FL1", "FC13", "A7"]
+    serial = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, models, jobs=1)
+    monkeypatch.setattr(evaluation, "HELPER_START_S", 1e-9)
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(evaluation.multiprocessing, "get_context", lambda: spawn)
+    pooled = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, models, jobs=2)
+    assert pooled == serial
+
+
+def test_small_run_starts_no_helper(kb1, kb2, fixture_features, barnstars, monkeypatch):
+    # A7 on 3 editors is far less work than a helper costs
+    started = []
+    monkeypatch.setattr(evaluation, "_run_pooled", lambda *args: started.append(args))
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    three = fixture_features[:3]
+    pooled = _trust_of_run(monkeypatch, kb_set, three, barnstars, ["A7"], jobs=4)
+    assert started == []
+    assert pooled == _trust_of_run(monkeypatch, kb_set, three, barnstars, ["A7"], jobs=1)
+
+
+def test_slow_first_editor_starts_helpers(kb1, kb2, fixture_features, barnstars, monkeypatch):
+    # a first editor taking HELPER_START_S predicts 11 times that for the
+    # other 11 editors: the second helper pays from 6 times on
+    started, real_pooled, real_evaluate = [], evaluation._run_pooled, evaluation._evaluate
+
+    def evaluate(*args):
+        if not started:
+            time.sleep(evaluation.HELPER_START_S)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(evaluation, "_evaluate", evaluate)
+    monkeypatch.setattr(evaluation, "_run_pooled",
+                        lambda *args: started.append(args[3]) or real_pooled(*args))
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    models = ["E1", "FL1", "A7"]
+    pooled = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, models, jobs=3)
+    assert started == [2]
+    assert pooled == _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, models,
+                                   jobs=1)
+
+
+def test_helper_that_dies_is_named_by_its_exit_code(kb1, kb2, fixture_features, barnstars,
+                                                    monkeypatch, tmp_path):
+    _pooled_evaluate(monkeypatch, tmp_path, in_helper=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features, barnstars, ["E1", "A1"], jobs=2)
+
+
+def test_failing_caller_share_stops_the_helpers(kb1, kb2, fixture_features, barnstars,
+                                                monkeypatch, tmp_path):
+    def fail():
+        raise KeyError("caller share failed")
+
+    stalled = []
+
+    def stall():
+        if not stalled:
+            stalled.append(True)
+            time.sleep(60)
+
+    # a helper left running would hold the call for a minute
+    pids = _pooled_evaluate(monkeypatch, tmp_path, in_helper=stall, in_caller=fail)
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="caller share failed"):
+        run_matrix({"KB1": kb1, "KB2": kb2}, fixture_features, barnstars, ["E1", "A1"], jobs=2)
+    assert time.monotonic() - start < 30
+    assert len(pids()) == 2
+
+
+def test_missing_feature_raises_from_a_pooled_run(kb2, fixture_features, barnstars):
+    kb = parse_kb("""
+feature karma weight 1 domain [0.0, 1.0] {
+    term on = [0.0, 1.0] fmf crisp(0.0, 1.0)
+}
+trustlevel all = [0.0, 1.0] fmf crisp(0.0, 1.0)
+rule R: IF karma is on THEN trust is all
+""").kb
+    with pytest.raises(expert.MissingFeatureError, match="feature 'karma' missing"):
+        run_matrix({"KB1": kb, "KB2": kb2}, fixture_features, barnstars, ["E1", "FL1", "A1"],
+                   jobs=2)
 
 
 def _fresh_kbs():
@@ -291,12 +443,32 @@ def test_fuzzy_and_expert_selection_builds_no_framework(fixture_features, barnst
 
 
 def test_pooled_run_builds_structures_before_the_workers_start(fixture_features, barnstars,
-                                                               monkeypatch):
+                                                               monkeypatch, tmp_path):
     models = ["E1", "FL13", "A7"]
     serial = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=1)
     builds = _count_builds(monkeypatch, parent_only=True)
+    pids = _pooled_evaluate(monkeypatch, tmp_path)
     pooled = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=2)
-    # a structure built in a worker raises there, which would turn into NA
+    assert len(pids()) == 2
+    # a structure built in a helper raises there, which would turn into NA
+    assert pooled == serial
+    assert builds == {("graph", "KB1"): 1, ("graph", "KB2"): 1, ("framework", "KB2"): 1}
+
+
+def test_pooled_run_builds_structures_when_the_first_editor_fails(fixture_features, barnstars,
+                                                                  monkeypatch, tmp_path):
+    # a failed valuation of the first editor leaves the layers and the
+    # framework unread by the first-editor probe
+    first, real = fixture_features[0].as_dict(), expert.valuation
+    monkeypatch.setattr(expert, "valuation",
+                        lambda kb, vec: real(kb, {} if vec == first else vec))
+    models = ["E1", "FL13", "A7"]
+    serial = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=1)
+    assert serial["E1"][fixture_features[0].editor_id] is None
+    builds = _count_builds(monkeypatch, parent_only=True)
+    pids = _pooled_evaluate(monkeypatch, tmp_path)
+    pooled = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=2)
+    assert len(pids()) == 2
     assert pooled == serial
     assert builds == {("graph", "KB1"): 1, ("graph", "KB2"): 1, ("framework", "KB2"): 1}
 

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+import reference_impl as ref
 from nonmono.ingest import (
     FEATURE_COLUMNS,
     DumpParseError,
@@ -60,6 +61,28 @@ def test_missing_timestamp_skipped_with_counter():
     records = list(stream)
     assert len(records) == 1 and records[0].revision_id == "2"
     assert stream.skipped == 1
+
+
+MULTI_SLOT_DUMP = """<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.{version}/">
+<page><title>T</title><ns>0</ns><id>1</id>
+<revision><id>5</id><timestamp>2019-01-01T00:00:00Z</timestamp>
+<contributor><username>a</username><id>3</id></contributor>
+<text bytes="100"/><content><role>mediainfo</role><text bytes="7"/></content>
+</revision></page></mediawiki>"""
+
+
+def test_non_main_slot_text_is_not_the_revision_size(tmp_path):
+    # export 0.11: the revision's own <text> is the main slot's, and another
+    # slot's <content><text> does not override it
+    data = MULTI_SLOT_DUMP.format(version=11).encode()
+    assert [r.page_bytes for r in stream_revisions(io.BytesIO(data))] == [100]
+    features = extract_features(io.BytesIO(data), DUMP)
+    program = {f.editor_id: {k: float(format(v, ".10g")) for k, v in f.as_dict().items()}
+               for f in features}
+    # the DOM reference reads the export-0.10 namespace
+    path = tmp_path / "dump.xml"
+    path.write_text(MULTI_SLOT_DUMP.format(version=10), encoding="utf-8")
+    assert program == ref.extract_features_dom(str(path), DUMP)
 
 
 def test_accumulate_first_revision_full_size():
