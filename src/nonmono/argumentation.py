@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from . import expert
@@ -331,14 +332,18 @@ def accrue_categoriser(subaf: ArgumentationFramework, scores: dict[str, float],
 @dataclass(frozen=True)
 class ArgumentationOutcome:
     """One editor's argumentation run: the trust and the structures that
-    produced it.  Extension-based semantics fill ``labellings``, the
-    categoriser fills ``scores``."""
+    produced it.  Extension-based semantics fill ``labellings``; under the
+    categoriser ``scores`` are computed when first read, since the trust
+    reads them only when every forecast argument is attacked."""
 
     trust: float | None
     subaf: ArgumentationFramework
     values: dict[str, float]
     labellings: list[Labelling] | None = None
-    scores: dict[str, float] | None = None
+
+    @cached_property
+    def scores(self) -> dict[str, float] | None:
+        return categoriser(self.subaf) if self.labellings is None else None
 
     def trace(self) -> dict:
         """JSON-ready trace: activated arguments, kept attacks, forecast
@@ -352,7 +357,7 @@ class ArgumentationOutcome:
             ],
             "forecast_values": {a: self.values[a] for a in sorted(self.values)},
         }
-        if self.scores is not None:
+        if self.labellings is None:
             trace["scores"] = {a: self.scores[a] for a in sorted(self.scores)}
         else:
             trace["labellings"] = [
@@ -377,11 +382,28 @@ def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
 
 def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
                      semantics: str, use_strength: bool) -> ArgumentationOutcome:
-    """Acceptance under ``semantics`` and accrual of the accepted values."""
+    """Acceptance under ``semantics`` and accrual of the accepted values.
+
+    The categoriser accrual reads only the top tie set of forecast scores,
+    so when some forecast argument is unattacked, no round runs.  An
+    unattacked argument scores exactly 1.  With N attacks (N is at most the
+    argument count when no attack repeats) every score, in every round,
+    lies in [1/(1+N), 1], so an attacked argument scores at most
+    1/(1 + 1/(1+N)) = (1+N)/(2+N), which is below ``1 - CAT_TIE_EPS`` for
+    any N under 10**8.  The top tie set is then exactly the unattacked
+    forecast arguments, accrued in sorted order as ``accrue_categoriser``
+    accrues them, so the trust is the same float.
+    """
     if semantics == "categoriser":
-        scores = categoriser(subaf)
-        trust = accrue_categoriser(subaf, scores, values, weighted=use_strength)
-        return ArgumentationOutcome(trust, subaf, values, scores=scores)
+        attacked = {t for _s, t in subaf.attacks}
+        top = sorted(a for a, arg in subaf.arguments.items()
+                     if arg.kind == "forecast" and a not in attacked)
+        if top:
+            trust = _accrue_values([(values[a], subaf.arguments[a].strength) for a in top],
+                                   use_strength)
+        else:
+            trust = accrue_categoriser(subaf, categoriser(subaf), values, weighted=use_strength)
+        return ArgumentationOutcome(trust, subaf, values)
     if semantics == "grounded":
         labellings = [grounded(subaf)]
     elif semantics == "preferred":

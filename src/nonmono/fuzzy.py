@@ -14,8 +14,8 @@ else, so equal level truths, from any KB, operator or weights flag, have
 one output.  The output curve is kept as pieces of cached level curves in
 grid order: a stretch one clipped level dominates is a reference to that
 level, and only short stretches where levels cross hold values.
-Defuzzification reads the pieces and the levels' runs and never the
-1001-point curve ``mu``, which is assembled from the pieces only when read.
+Defuzzification reads the pieces and the levels' runs; the 1001-point
+curve is never assembled.
 Each result sums the same floats in the same order, in one ``sum`` call, as
 a per-contradiction, per-grid-point walk does, so it is equal to that
 walk's on every Python version, including the compensated float ``sum`` of
@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
 from typing import Callable, NamedTuple
@@ -65,22 +65,15 @@ OPERATORS = {
 @dataclass(frozen=True)
 class AggregatedFuzzySet:
     """Trust-level truth values, the clipped levels of nonzero truth, and
-    the pieces of their pointwise max over ``xs`` in grid order.  ``mu``,
-    that max at every grid point, is assembled from the pieces when first
-    read; ``defuzzify`` does not read it."""
+    the pieces of their pointwise max over ``xs`` in grid order: a piece
+    ``(p, q, level, values)`` covers grid points ``p`` to ``q - 1`` with
+    ``level``'s clipped curve, or with ``values`` where ``level`` is None.
+    No pieces means the max is 0 everywhere."""
 
     level_truths: dict[str, float]
     xs: tuple[float, ...]
     levels: list[ClippedLevel]
     pieces: list[Piece]
-
-    @cached_property
-    def mu(self) -> tuple[float, ...]:
-        if not self.pieces:
-            return (0.0,) * len(self.xs)
-        return tuple(chain.from_iterable(
-            values if level is None else _slice(level, p, q)
-            for p, q, level, values in self.pieces))
 
 
 def fuzzify(features, kb: KnowledgeBase, variant: str = "triangular") -> dict[tuple[str, str], float]:
@@ -395,11 +388,11 @@ def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
     points within ``MAX_TIE_EPS`` of the peak: on a unimodal curve a
     level's points at or above that bound are one run, found by bisecting
     its ascending halves, and the union of the runs is summed left to
-    right.  The centroid sums every ``x * mu`` and every ``mu`` left to
-    right, read from the pieces: a dominated stretch gives the level's
+    right.  The centroid sums every ``x * mu(x)`` and every ``mu(x)`` left
+    to right, read from the pieces: a dominated stretch gives the level's
     cached products and values outside its truth run and ``x * truth`` and
     the truth inside it.  Each is one ``sum`` over the same floats in the
-    same order as a walk over ``mu``, so it equals that walk's result.
+    same order as a walk over the grid, so it equals that walk's result.
     """
     if method not in ("centroid", "mean_of_max"):
         raise ValueError(f"unknown defuzzification method {method!r}")

@@ -54,10 +54,10 @@ def parse_timestamp(text: str) -> datetime:
 
 # The slots of a revision being read, then what else an element may set or
 # open.  Per context, a table maps element names to these.  Text fields,
-# <text> and contexts are read from direct children only, so a non-main
-# slot's <content><text> is not the revision's; <page> opens anywhere outside
-# a page, and <minor> and a deleted <contributor> count anywhere in a
-# revision.
+# <text>, <minor> and contexts are read from direct children only, so a
+# non-main slot's <content><text> or <minor/> is not the revision's; <page>
+# opens anywhere outside a page, and a deleted <contributor> counts anywhere
+# in a revision.
 (_ID, _TIMESTAMP, _EDITOR, _COMMENT, _ANONYMOUS, _MINOR, _BYTES, _DELETED,
  _PAGE_ID, _PAGE, _REVISION) = range(11)
 _OUTSIDE_FIELDS = {"page": _PAGE}
@@ -65,8 +65,9 @@ _PAGE_FIELDS = {"id": _PAGE_ID, "revision": _REVISION}
 _REVISION_FIELDS = {"id": _ID, "timestamp": _TIMESTAMP, "comment": _COMMENT,
                     "username": _EDITOR, "ip": _EDITOR, "minor": _MINOR,
                     "text": _BYTES, "contributor": _DELETED}
-# a contributor's own <id> is not the revision's, nor is a <text> in it
-_CONTRIBUTOR_FIELDS = {k: v for k, v in _REVISION_FIELDS.items() if k not in ("id", "text")}
+# a contributor's own <id> is not the revision's, nor is a <text> or <minor> in it
+_CONTRIBUTOR_FIELDS = {k: v for k, v in _REVISION_FIELDS.items()
+                       if k not in ("id", "text", "minor")}
 
 
 class _RevisionHandler:
@@ -94,7 +95,8 @@ class _RevisionHandler:
             return
         rev = self._rev
         if slot == _MINOR:
-            rev[_MINOR] = True
+            if self._depth == 1:
+                rev[_MINOR] = True
         elif slot == _BYTES:
             if self._depth != 1:
                 return

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
+from nonmono import fuzzy
 from nonmono.ingest import extract_features, read_barnstars
 from nonmono.kb import load_builtin, parse_kb
 
@@ -83,3 +85,13 @@ def attackers_of(af) -> dict[str, tuple[str, ...]]:
     for src, tgt in af.attacks:
         inc[tgt].append(src)
     return {a: tuple(v) for a, v in inc.items()}
+
+
+def curve(agg) -> tuple[float, ...]:
+    """An aggregate's output curve at every grid point, assembled from its
+    pieces: the 1001-point max that defuzzification never builds."""
+    if not agg.pieces:
+        return (0.0,) * len(agg.xs)
+    return tuple(chain.from_iterable(
+        values if level is None else fuzzy._slice(level, p, q)
+        for p, q, level, values in agg.pieces))

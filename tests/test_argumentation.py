@@ -386,6 +386,61 @@ def test_accrue_categoriser_top_rank():
     assert arg.accrue_categoriser(af, scores, values, False) == pytest.approx(0.6)
 
 
+def _categoriser_cases(kb1, kb2, feature_vectors):
+    """Every elicited sub-framework with its forecast values and strength
+    flag: the fixture vectors, 200 seeded uniform ones and 120 on the term
+    endpoints of both KBs, over both KBs and both strength flags."""
+    from test_differential import _boundary_vectors, _uniform_vectors
+
+    vectors = [*feature_vectors.values(), *_uniform_vectors(200),
+               *_boundary_vectors(120, (kb1, kb2))]
+    for kb in (kb1, kb2):
+        for fv in vectors:
+            valuation = expert.valuation(kb, fv)
+            for use_strength in (False, True):
+                yield (*arg.elicit(kb, valuation, use_strength), use_strength)
+
+
+def _has_unattacked_forecast(subaf):
+    attacked = {t for _s, t in subaf.attacks}
+    return any(a.kind == "forecast" and label not in attacked
+               for label, a in subaf.arguments.items())
+
+
+def test_categoriser_trust_equals_accrual_over_full_scores(kb1, kb2, feature_vectors):
+    # without Jacobi rounds where an unattacked forecast argument decides the
+    # top tie set, with them where every forecast argument is attacked: the
+    # same float as accruing the full scores
+    paths = {True: 0, False: 0}
+    for subaf, values, use_strength in _categoriser_cases(kb1, kb2, feature_vectors):
+        want = arg.accrue_categoriser(subaf, arg.categoriser(subaf), values, use_strength)
+        got = arg.label_and_accrue(subaf, values, "categoriser", use_strength).trust
+        assert repr(got) == repr(want)
+        paths[_has_unattacked_forecast(subaf)] += 1
+    assert paths[True] and paths[False]
+
+
+def test_categoriser_runs_only_when_every_forecast_argument_is_attacked(
+        kb2, feature_vectors, monkeypatch):
+    real = arg.categoriser
+    calls = []
+    monkeypatch.setattr(arg, "categoriser", lambda af: calls.append(af) or real(af))
+    subafs = [toy_af({"A": 1, "B": 1}, [("B", "A")]),
+              toy_af({"A": 1, "B": 1}, [("A", "B"), ("B", "A")]),
+              *_fixture_subafs((kb2,), feature_vectors)]
+    decided = [_has_unattacked_forecast(subaf) for subaf in subafs]
+    assert any(decided) and not all(decided)
+    for subaf, free in zip(subafs, decided):
+        calls.clear()
+        values = {a: 0.5 for a, x in subaf.arguments.items() if x.kind == "forecast"}
+        outcome = arg.label_and_accrue(subaf, values, "categoriser", False)
+        assert len(calls) == (0 if free else 1)
+        # the scores are built when first read, once
+        assert outcome.scores == real(subaf)
+        assert outcome.scores is outcome.scores
+        assert len(calls) == (1 if free else 2)
+
+
 def test_accrue_weighted_by_strength():
     af = toy_af({"A": 3, "B": 1}, [])
     lab = arg.grounded(af)

@@ -7,10 +7,11 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from conftest import GOLDEN
-from nonmono import evaluation
+from nonmono import argumentation, evaluation, expert
 from nonmono.cli import main
 from nonmono.evaluation import MODEL_REGISTRY, read_results_csv, read_trust_csv
-from nonmono.ingest import FEATURE_COLUMNS
+from nonmono.ingest import FEATURE_COLUMNS, read_features_csv
+from nonmono.kb import load_builtin
 
 
 @pytest.fixture()
@@ -149,7 +150,7 @@ def test_infer_explain(features_csv, tmp_path, capsys):
     assert trace["kept_attacks"]
 
 
-@pytest.mark.parametrize("model", ["A1", "A2", "A3", "A4", "A5", "A6"])
+@pytest.mark.parametrize("model", [f"A{i}" for i in range(1, 13)])
 def test_infer_explain_trust_matches_csv(model, features_csv, tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = main(["infer", "--model", model, "--features", str(features_csv),
@@ -157,10 +158,23 @@ def test_infer_explain_trust_matches_csv(model, features_csv, tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     trace = json.loads(stdout[stdout.index("{"):stdout.rindex("}") + 1])
-    acceptance = "scores" if MODEL_REGISTRY[model].semantics == "categoriser" else "labellings"
+    config = MODEL_REGISTRY[model]
+    acceptance = "scores" if config.semantics == "categoriser" else "labellings"
     assert list(trace) == ["editor_id", "model_id", "activated_arguments", "kept_attacks",
                            "forecast_values", acceptance, "trust"]
-    assert float(format(trace["trust"], ".10g")) == read_trust_csv(str(out))["10.1.2.3"]
+    trust = trace["trust"]  # None where the model abstains, as A9 does for this editor
+    assert (trust if trust is None else float(format(trust, ".10g"))) == \
+        read_trust_csv(str(out))["10.1.2.3"]
+    if acceptance == "scores":
+        # the explained scores are the full categoriser's, also where an
+        # unattacked forecast argument gave the trust without them
+        kb = load_builtin(config.kb_id)
+        features = next(f for f in read_features_csv(str(features_csv))
+                        if f.editor_id == "10.1.2.3")
+        subaf, _values = argumentation.elicit(
+            kb, expert.valuation(kb, features.as_dict()), config.use_strength)
+        scores = argumentation.categoriser(subaf)
+        assert trace["scores"] == {a: scores[a] for a in sorted(scores)}
 
 
 def test_evaluate_command(features_csv, barnstars_path, tmp_path, capsys):
@@ -364,7 +378,7 @@ def test_bad_arguments_exit_1(capsys):
 
 def test_run_matrix_internal_error_exits_2(features_csv, barnstars_path, tmp_path, monkeypatch,
                                            capsys):
-    from nonmono import evaluation
+    from nonmono import argumentation, evaluation, expert
 
     def broken(trust, barnstars):
         raise ValueError("metric bug")

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import curve
 from nonmono import argumentation, evaluation, expert, fuzzy
 from nonmono.evaluation import (
     MODEL_REGISTRY,
@@ -570,9 +571,10 @@ def test_fuzzy_models_never_build_the_output_curve(kb1, kb2, fixture_features, b
     assert len(FUZZY_MODELS) == 48
     run_matrix(kb_set, fixture_features[:3], barnstars, FUZZY_MODELS, jobs=1)
     assert len(built) == distinct
-    # defuzzification reads the pieces; the curve itself is built only when read
-    assert not any("mu" in vars(agg) for agg in built)
-    assert all(len(agg.mu) == fuzzy.DEFAULT_RESOLUTION for agg in built)
+    # defuzzification reads the pieces, and no aggregate holds a grid curve
+    fields = {f.name for f in dataclasses.fields(fuzzy.AggregatedFuzzySet)}
+    assert all(vars(agg).keys() == fields for agg in built)
+    assert all(len(curve(agg)) == fuzzy.DEFAULT_RESOLUTION for agg in built)
 
 
 def _vector_editors(prefix, vectors):

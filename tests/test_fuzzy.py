@@ -4,6 +4,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import curve
 from nonmono import fuzzy
 from nonmono.kb import parse_kb
 from nonmono.kb.model import KbValidationError
@@ -242,7 +243,7 @@ def test_aggregate_levels_disjunctive_max(kb1):
 def test_aggregate_levels_zero_curve(kb1):
     necs = {label: 0.0 for label in kb1.rules}
     agg = _aggregate(necs, kb1)
-    assert max(agg.mu) == 0.0
+    assert max(curve(agg)) == 0.0
     assert fuzzy.defuzzify(agg, "centroid") is None
     assert fuzzy.defuzzify(agg, "mean_of_max") is None
 
@@ -250,8 +251,8 @@ def test_aggregate_levels_zero_curve(kb1):
 def test_defuzzify_rejects_unknown_method(kb1):
     flat = _aggregate({label: 0.0 for label in kb1.rules}, kb1)
     peaked = _aggregate({"AN1": 0.7}, kb1)
-    assert flat.mu == (0.0,) * fuzzy.DEFAULT_RESOLUTION
-    assert max(peaked.mu) > 0.0
+    assert curve(flat) == (0.0,) * fuzzy.DEFAULT_RESOLUTION
+    assert max(curve(peaked)) > 0.0
     for agg in (flat, peaked):
         with pytest.raises(ValueError, match="unknown defuzzification method 'bogus'"):
             fuzzy.defuzzify(agg, "bogus")
@@ -262,7 +263,7 @@ def test_aggregate_levels_unclipped(kb1):
     necs["AN1"] = 1.0
     agg = _aggregate(necs, kb1)
     fmf = kb1.trust_levels["high"].fmf("triangular")
-    assert all(m == pytest.approx(max(fmf(x), 0.0)) for x, m in zip(agg.xs, agg.mu))
+    assert all(m == pytest.approx(max(fmf(x), 0.0)) for x, m in zip(agg.xs, curve(agg)))
 
 
 class _Walk(NamedTuple):
@@ -307,29 +308,28 @@ def test_aggregate_levels_equals_grid_walk(request, kb_name, variant):
         walk = _grid_walk(necs, kb, variant)
         assert agg.level_truths == walk.level_truths
         assert agg.xs == walk.xs
-        _assert_defuzzified_before_mu(agg, walk)
+        _assert_defuzzified_like_walk(agg, walk)
 
 
-def _assert_defuzzified_before_mu(agg, walk):
-    """``defuzzify`` on an aggregate whose ``mu`` nobody has read, as in the
-    matrix, equals the old defuzzification of the walk; it leaves ``mu``
-    unbuilt, and ``mu`` read afterwards equals the walk's."""
+def _assert_defuzzified_like_walk(agg, walk):
+    """``defuzzify`` on the aggregate's pieces equals the old
+    defuzzification of the walk, and the curve the pieces make is the
+    walk's."""
     for method in ("centroid", "mean_of_max"):
         assert fuzzy.defuzzify(agg, method) == _walk_defuzzify(walk, method)
-    assert "mu" not in vars(agg)
-    assert agg.mu == walk.mu
+    assert curve(agg) == walk.mu
 
 
-def _walk_defuzzify(agg, method):
+def _walk_defuzzify(walk, method):
     """The earlier defuzzification, kept as an oracle: generator sums over
     the grid, left to right."""
-    peak = max(agg.mu, default=0.0)
+    peak = max(walk.mu, default=0.0)
     if peak <= 0.0:
         return None
     if method == "centroid":
-        area = sum(agg.mu)
-        return sum(x * m for x, m in zip(agg.xs, agg.mu)) / area
-    top = [x for x, m in zip(agg.xs, agg.mu) if m >= peak - fuzzy.MAX_TIE_EPS]
+        area = sum(walk.mu)
+        return sum(x * m for x, m in zip(walk.xs, walk.mu)) / area
+    top = [x for x, m in zip(walk.xs, walk.mu) if m >= peak - fuzzy.MAX_TIE_EPS]
     return sum(top) / len(top)
 
 
@@ -390,7 +390,7 @@ def test_aggregate_levels_envelope_on_random_level_sets():
             agg = _aggregate(necs, kb)
             walk = _grid_walk(necs, kb, "triangular")
             assert list(agg.level_truths.items()) == list(walk.level_truths.items())
-            _assert_defuzzified_before_mu(agg, walk)
+            _assert_defuzzified_like_walk(agg, walk)
 
 
 def test_level_curve_must_be_unimodal():
@@ -399,13 +399,13 @@ def test_level_curve_must_be_unimodal():
     def plateau(x):
         return min(1.0, 4 * x, 4 - 4 * x)
 
-    curve, left, rrev, xc = fuzzy._level_curve(plateau)
-    assert len(left) + len(rrev) == len(curve) == fuzzy.DEFAULT_RESOLUTION
-    assert xc == tuple(x * m for x, m in zip(fuzzy._GRID, curve))
+    points, left, rrev, xc = fuzzy._level_curve(plateau)
+    assert len(left) + len(rrev) == len(points) == fuzzy.DEFAULT_RESOLUTION
+    assert xc == tuple(x * m for x, m in zip(fuzzy._GRID, points))
     for truth in (0.0, 0.5, 1.0, 1.5):
         level = fuzzy._clipped_level(fuzzy._level_curve(plateau), truth)
-        clipped = tuple(min(truth, m) for m in curve)
-        for p, q in ((0, len(curve)), (0, 1), (100, 400), (240, 260), (600, len(curve))):
+        clipped = tuple(min(truth, m) for m in points)
+        for p, q in ((0, len(points)), (0, 1), (100, 400), (240, 260), (600, len(points))):
             assert fuzzy._slice(level, p, q) == clipped[p:q]
 
 
@@ -433,7 +433,8 @@ rule R: IF f is on THEN trust is band
 """
     kb = parse_kb(src).kb
     agg = _aggregate({"R": 1.0}, kb)
-    xs = [x for x, m in zip(agg.xs, agg.mu) if m >= max(agg.mu) - 1e-9]
+    mu = curve(agg)
+    xs = [x for x, m in zip(agg.xs, mu) if m >= max(mu) - 1e-9]
     oracle = sum(xs) / len(xs)  # discretized plateau mean
     assert fuzzy.defuzzify(agg, "mean_of_max") == pytest.approx(oracle)
     assert oracle == pytest.approx(0.7, abs=1e-6)

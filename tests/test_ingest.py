@@ -85,6 +85,30 @@ def test_non_main_slot_text_is_not_the_revision_size(tmp_path):
     assert program == ref.extract_features_dom(str(path), DUMP)
 
 
+MINOR_DUMP = """<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.{version}/">
+<page><title>T</title><ns>0</ns><id>1</id>
+<revision><id>5</id><timestamp>2019-01-01T00:00:00Z</timestamp>
+<contributor><username>a</username><id>3</id>{in_contributor}</contributor>
+<text bytes="100"/><content><role>mediainfo</role>{in_slot}<text bytes="7"/></content>
+</revision></page></mediawiki>"""
+
+
+@pytest.mark.parametrize("where", ["in_slot", "in_contributor"])
+def test_nested_minor_is_not_the_revision_flag(where, tmp_path):
+    # only a <minor/> directly under <revision> marks it minor, not one in a
+    # slot's <content> or in the <contributor>
+    layout = {"in_slot": "", "in_contributor": "", where: "<minor/>"}
+    data = MINOR_DUMP.format(version=11, **layout).encode()
+    assert [r.minor_flag for r in stream_revisions(io.BytesIO(data))] == [False]
+    features = extract_features(io.BytesIO(data), DUMP)
+    program = {f.editor_id: {k: float(format(v, ".10g")) for k, v in f.as_dict().items()}
+               for f in features}
+    assert program["a"]["not_minor"] == 1.0
+    path = tmp_path / "dump.xml"
+    path.write_text(MINOR_DUMP.format(version=10, **layout), encoding="utf-8")
+    assert program == ref.extract_features_dom(str(path), DUMP)
+
+
 def test_accumulate_first_revision_full_size():
     accs = accumulate([rec("p", ts(2019, 1, 1), size=100)], DUMP)
     assert accs["x"].net_bytes == 100
