@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from . import expert
@@ -329,44 +328,6 @@ def accrue_categoriser(subaf: ArgumentationFramework, scores: dict[str, float],
     return _accrue_values(pairs, weighted)
 
 
-@dataclass(frozen=True)
-class ArgumentationOutcome:
-    """One editor's argumentation run: the trust and the structures that
-    produced it.  Extension-based semantics fill ``labellings``; under the
-    categoriser ``scores`` are computed when first read, since the trust
-    reads them only when every forecast argument is attacked."""
-
-    trust: float | None
-    subaf: ArgumentationFramework
-    values: dict[str, float]
-    labellings: list[Labelling] | None = None
-
-    @cached_property
-    def scores(self) -> dict[str, float] | None:
-        return categoriser(self.subaf) if self.labellings is None else None
-
-    def trace(self) -> dict:
-        """JSON-ready trace: activated arguments, kept attacks, forecast
-        values, labellings or scores, then the trust."""
-        subaf = self.subaf
-        trace: dict = {
-            "activated_arguments": sorted(subaf.arguments),
-            "kept_attacks": [
-                {"from": s, "to": t, "kind": subaf.arguments[s].attack_kind}
-                for s, t in subaf.attacks
-            ],
-            "forecast_values": {a: self.values[a] for a in sorted(self.values)},
-        }
-        if self.labellings is None:
-            trace["scores"] = {a: self.scores[a] for a in sorted(self.scores)}
-        else:
-            trace["labellings"] = [
-                {a: l.labels[a] for a in sorted(l.labels)} for l in self.labellings
-            ]
-        trace["trust"] = self.trust
-        return trace
-
-
 def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
            use_strength: bool) -> tuple[ArgumentationFramework, dict[str, float]]:
     """The semantics-independent part of a run: the editor's sub-framework
@@ -380,9 +341,23 @@ def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
     return subaf, values
 
 
+def labellings(subaf: ArgumentationFramework, semantics: str) -> list[Labelling] | None:
+    """The accepted labellings under an extension-based ``semantics``; None
+    under the categoriser, which ranks by ``categoriser`` scores instead."""
+    if semantics == "categoriser":
+        return None
+    if semantics == "grounded":
+        return [grounded(subaf)]
+    if semantics == "preferred":
+        return preferred(subaf)
+    if semantics == "stable":
+        return stable(subaf)
+    raise ValueError(f"unknown semantics {semantics!r}")
+
+
 def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
-                     semantics: str, use_strength: bool) -> ArgumentationOutcome:
-    """Acceptance under ``semantics`` and accrual of the accepted values.
+                     semantics: str, use_strength: bool) -> float | None:
+    """Trust: acceptance under ``semantics`` and accrual of the accepted values.
 
     The categoriser accrual reads only the top tie set of forecast scores,
     so when some forecast argument is unattacked, no round runs.  An
@@ -394,30 +369,13 @@ def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
     forecast arguments, accrued in sorted order as ``accrue_categoriser``
     accrues them, so the trust is the same float.
     """
-    if semantics == "categoriser":
-        attacked = {t for _s, t in subaf.attacks}
-        top = sorted(a for a, arg in subaf.arguments.items()
-                     if arg.kind == "forecast" and a not in attacked)
-        if top:
-            trust = _accrue_values([(values[a], subaf.arguments[a].strength) for a in top],
-                                   use_strength)
-        else:
-            trust = accrue_categoriser(subaf, categoriser(subaf), values, weighted=use_strength)
-        return ArgumentationOutcome(trust, subaf, values)
-    if semantics == "grounded":
-        labellings = [grounded(subaf)]
-    elif semantics == "preferred":
-        labellings = preferred(subaf)
-    elif semantics == "stable":
-        labellings = stable(subaf)
-    else:
-        raise ValueError(f"unknown semantics {semantics!r}")
-    trust = accrue_extensions(subaf, labellings, values, weighted=use_strength)
-    return ArgumentationOutcome(trust, subaf, values, labellings=labellings)
-
-
-def run_argumentation(kb: KnowledgeBase, features, semantics: str,
-                      use_strength: bool) -> ArgumentationOutcome:
-    """Full per-editor pipeline: value, elicit, label, accrue."""
-    subaf, values = elicit(kb, expert.valuation(kb, features), use_strength)
-    return label_and_accrue(subaf, values, semantics, use_strength)
+    accepted = labellings(subaf, semantics)
+    if accepted is not None:
+        return accrue_extensions(subaf, accepted, values, weighted=use_strength)
+    attacked = {t for _s, t in subaf.attacks}
+    top = sorted(a for a, arg in subaf.arguments.items()
+                 if arg.kind == "forecast" and a not in attacked)
+    if top:
+        return _accrue_values([(values[a], subaf.arguments[a].strength) for a in top],
+                              use_strength)
+    return accrue_categoriser(subaf, categoriser(subaf), values, weighted=use_strength)

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import argumentation, evaluation, plots
+from . import evaluation, plots
 from .evaluation import read_trust_csv
 from .ingest import (
     WIKI_START_DEFAULT,
@@ -99,10 +99,10 @@ def cmd_infer(args) -> int:
         raise UserError(f"unknown model id {args.model!r}")
     kb = load_builtin(config.kb_id)
     features = _as_user_error(read_features_csv, args.features)
+    if not features:
+        raise UserError(f"{args.features}: no editors")
     explain_target = None
     if args.explain is not None:
-        if config.engine != "argumentation":
-            raise UserError("--explain is only available for argumentation models (A*)")
         match = [f for f in features if f.editor_id == args.explain]
         if not match:
             raise UserError(f"editor {args.explain!r} not present in {args.features}")
@@ -110,10 +110,7 @@ def cmd_infer(args) -> int:
     trust = evaluation.run_model(config, kb, features)
     _as_user_error(evaluation.write_trust_csv, trust, config.id, args.out, errors=OSError)
     if explain_target is not None:
-        outcome = argumentation.run_argumentation(kb, explain_target.as_dict(),
-                                                  config.semantics, config.use_strength)
-        print(json.dumps({"editor_id": args.explain, "model_id": config.id, **outcome.trace()},
-                         indent=2, sort_keys=False))
+        print(json.dumps(evaluation.explain(config, kb, explain_target), indent=2))
     assigned = sum(1 for v in trust.values() if v is not None)
     print(f"{len(trust)} editors, {assigned} with assigned trust")
     return 0

@@ -191,8 +191,8 @@ _VALUATION = (("kb_id",), lambda kb, _c, vec, _prev: expert.valuation(kb, vec))
 _STAGES = {
     "expert": (
         _VALUATION,
-        ((), lambda kb, _c, _vec, val: expert.resolve_contradictions(kb, val)[0]),
-        (("heuristic",), lambda _kb, c, _vec, rules: expert.aggregate(rules, c.heuristic)),
+        ((), lambda kb, _c, _vec, val: expert.resolve_contradictions(kb, val)),
+        (("heuristic",), lambda _kb, c, _vec, kept: expert.aggregate(kept[0], c.heuristic)),
     ),
     "fuzzy": (
         (("kb_id", "fmf_variant"),
@@ -209,13 +209,50 @@ _STAGES = {
         (("use_strength",),
          lambda kb, c, _vec, val: argumentation.elicit(kb, val, c.use_strength)),
         (("semantics",), lambda _kb, c, _vec, elicited: argumentation.label_and_accrue(
-            *elicited, c.semantics, c.use_strength).trust),
+            *elicited, c.semantics, c.use_strength)),
+    ),
+}
+
+# What ``explain`` shows of each stage result in ``_STAGES``: JSON-ready keys
+# from the model, the previous stage's result and this one.  The last result
+# is the trust, which ``explain`` adds itself.
+_DESCRIBE = {
+    "expert": (
+        lambda _c, _prev, val: {"activated_rules": {r: a.value for r, a in val.activated.items()}},
+        lambda _c, _prev, kept: {"retracted": [{"rule": r, "by": by} for r, by in kept[1]],
+                                 "surviving": [a.rule_label for a in kept[0]]},
+        lambda _c, _prev, _trust: {},
+    ),
+    "fuzzy": (
+        lambda _c, _prev, grades: {"grades": {f"{f}:{t}": g for (f, t), g in grades.items()}},
+        lambda _c, _prev, necs: {"necessities": necs},
+        lambda _c, _prev, lt: {"level_truths": dict(zip(lt.levels.names, lt.truths))},
+        lambda _c, _prev, _agg: {},
+        lambda _c, _prev, _trust: {},
+    ),
+    "argumentation": (
+        lambda _c, _prev, _val: {},
+        lambda _c, _prev, elicited: {
+            "activated_arguments": sorted(elicited[0].arguments),
+            "kept_attacks": [{"from": s, "to": t, "kind": elicited[0].arguments[s].attack_kind}
+                             for s, t in elicited[0].attacks],
+            "forecast_values": dict(sorted(elicited[1].items()))},
+        lambda c, elicited, _trust: _acceptance(elicited[0], c.semantics),
     ),
 }
 
 
+def _acceptance(subaf: argumentation.ArgumentationFramework, semantics: str) -> dict:
+    """The labellings, or the full categoriser scores, which the trust may not have read."""
+    accepted = argumentation.labellings(subaf, semantics)
+    if accepted is None:
+        return {"scores": dict(sorted(argumentation.categoriser(subaf).items()))}
+    return {"labellings": [dict(sorted(l.labels.items())) for l in accepted]}
+
+
 def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase],
-              features: Sequence[EditorFeatures]) -> dict[str, dict[str, float | None]]:
+              features: Sequence[EditorFeatures],
+              steps: list | None = None) -> dict[str, dict[str, float | None]]:
     """Per-editor trust of every selected model, editor by editor.
 
     For each editor every distinct stage runs once and its result fans out
@@ -225,7 +262,9 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
     models, and for a stage keyed on its input, those are the models whose
     chains reached that input.  An unknown engine raises ``ValueError``, and
     a selected KB reading a feature that the feature vector lacks raises
-    ``expert.MissingFeatureError``, before any editor is evaluated.
+    ``expert.MissingFeatureError``, before any editor is evaluated.  A
+    ``steps`` list gets each stage result the walk reads, or the exception
+    of the stage that failed, in chain order.
     """
     chains = []
     for config in selected:
@@ -267,6 +306,8 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
                     except Exception as exc:
                         done[key] = exc
                 value = done[key]
+                if steps is not None:
+                    steps.append(value)
                 if isinstance(value, Exception):
                     log.error("model %s failed for editor %s; recording NA",
                               config.id, f.editor_id, exc_info=value)
@@ -283,6 +324,26 @@ def run_model(config: ModelConfig, kb: KnowledgeBase,
     and the run continues.  An unknown engine raises ``ValueError`` before
     any editor is evaluated."""
     return _evaluate([config], {config.kb_id: kb}, features)[config.id]
+
+
+def explain(config: ModelConfig, kb: KnowledgeBase, editor: EditorFeatures) -> dict:
+    """One editor's result under one model, read from the stage results of
+    the walk that computes its trust: the editor and model ids, each
+    stage's keys from ``_DESCRIBE``, then the trust.  A failed stage ends
+    the keys with ``error``, its exception's type name, and a null trust."""
+    steps: list = []
+    _evaluate([config], {config.kb_id: kb}, [editor], steps)
+    out: dict = {"editor_id": editor.editor_id, "model_id": config.id}
+    prev = None
+    for describe, result in zip(_DESCRIBE[config.engine], steps):
+        if isinstance(result, Exception):
+            out["error"] = type(result).__name__
+            result = None
+            break
+        out.update(describe(config, prev, result))
+        prev = result
+    out["trust"] = result
+    return out
 
 
 # Chunks per process in a pooled run: enough that a process freed early takes

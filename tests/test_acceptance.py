@@ -122,7 +122,8 @@ def test_criterion_6_cross_engine_oracle(kb1, feature_vectors):
         survivors, _discarded = expert.resolve_contradictions(bare, expert.valuation(bare, fv))
         h3 = expert.aggregate(survivors, "h3")
         for semantics in ("grounded", "preferred", "categoriser", "stable"):
-            out = arg.run_argumentation(bare, fv, semantics, False).trust
+            out = arg.label_and_accrue(*arg.elicit(bare, expert.valuation(bare, fv), False),
+                                       semantics, False)
             worst = max(worst, abs(out - h3))
     report(6, worst <= 1e-12,
            f"binary accrual equals expert h3 (max deviation {worst:.2e})")

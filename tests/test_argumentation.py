@@ -414,7 +414,7 @@ def test_categoriser_trust_equals_accrual_over_full_scores(kb1, kb2, feature_vec
     paths = {True: 0, False: 0}
     for subaf, values, use_strength in _categoriser_cases(kb1, kb2, feature_vectors):
         want = arg.accrue_categoriser(subaf, arg.categoriser(subaf), values, use_strength)
-        got = arg.label_and_accrue(subaf, values, "categoriser", use_strength).trust
+        got = arg.label_and_accrue(subaf, values, "categoriser", use_strength)
         assert repr(got) == repr(want)
         paths[_has_unattacked_forecast(subaf)] += 1
     assert paths[True] and paths[False]
@@ -433,12 +433,8 @@ def test_categoriser_runs_only_when_every_forecast_argument_is_attacked(
     for subaf, free in zip(subafs, decided):
         calls.clear()
         values = {a: 0.5 for a, x in subaf.arguments.items() if x.kind == "forecast"}
-        outcome = arg.label_and_accrue(subaf, values, "categoriser", False)
+        arg.label_and_accrue(subaf, values, "categoriser", False)
         assert len(calls) == (0 if free else 1)
-        # the scores are built when first read, once
-        assert outcome.scores == real(subaf)
-        assert outcome.scores is outcome.scores
-        assert len(calls) == (1 if free else 2)
 
 
 def test_accrue_weighted_by_strength():
@@ -458,7 +454,8 @@ def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):
             survivors, _discarded = expert.resolve_contradictions(bare, expert.valuation(bare, fv))
             h3 = expert.aggregate(survivors, "h3")
             for semantics in ("grounded", "preferred", "categoriser", "stable"):
-                out = arg.run_argumentation(bare, fv, semantics, False).trust
+                out = arg.label_and_accrue(
+                    *arg.elicit(bare, expert.valuation(bare, fv), False), semantics, False)
                 assert out == pytest.approx(h3, abs=1e-12)
 
 
@@ -479,11 +476,3 @@ def test_grounded_in_forecast_vs_expert_survivors(kb1, kb2, feature_vectors):
                 assert in_forecast == survivors
             else:
                 assert survivors <= in_forecast
-
-
-def test_explain_structure(kb1, feature_vectors):
-    outcome = arg.run_argumentation(kb1, feature_vectors["alice"], "preferred", False)
-    trace = outcome.trace()
-    assert list(trace) == ["activated_arguments", "kept_attacks", "forecast_values",
-                           "labellings", "trust"]
-    assert trace["trust"] is not None and trace["trust"] == outcome.trust

@@ -7,7 +7,7 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from conftest import GOLDEN
-from nonmono import argumentation, evaluation, expert
+from nonmono import argumentation, evaluation, expert, fuzzy
 from nonmono.cli import main
 from nonmono.evaluation import MODEL_REGISTRY, read_results_csv, read_trust_csv
 from nonmono.ingest import FEATURE_COLUMNS, read_features_csv
@@ -150,22 +150,34 @@ def test_infer_explain(features_csv, tmp_path, capsys):
     assert trace["kept_attacks"]
 
 
-@pytest.mark.parametrize("model", [f"A{i}" for i in range(1, 13)])
+def _explained(stdout: str) -> dict:
+    return json.loads(stdout[stdout.index("{"):stdout.rindex("}") + 1])
+
+
+def _explain_keys(config) -> list[str]:
+    """Each engine's keys of ``--explain``, in order, before ``trust``."""
+    if config.engine == "expert":
+        return ["activated_rules", "retracted", "surviving"]
+    if config.engine == "fuzzy":
+        return ["grades", "necessities", "level_truths"]
+    acceptance = "scores" if config.semantics == "categoriser" else "labellings"
+    return ["activated_arguments", "kept_attacks", "forecast_values", acceptance]
+
+
+@pytest.mark.parametrize("model", list(MODEL_REGISTRY))
 def test_infer_explain_trust_matches_csv(model, features_csv, tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = main(["infer", "--model", model, "--features", str(features_csv),
                "--out", str(out), "--explain", "10.1.2.3"])
     assert rc == 0
-    stdout = capsys.readouterr().out
-    trace = json.loads(stdout[stdout.index("{"):stdout.rindex("}") + 1])
+    trace = _explained(capsys.readouterr().out)
     config = MODEL_REGISTRY[model]
-    acceptance = "scores" if config.semantics == "categoriser" else "labellings"
-    assert list(trace) == ["editor_id", "model_id", "activated_arguments", "kept_attacks",
-                           "forecast_values", acceptance, "trust"]
+    assert list(trace) == ["editor_id", "model_id", *_explain_keys(config), "trust"]
+    assert trace["model_id"] == model
     trust = trace["trust"]  # None where the model abstains, as A9 does for this editor
     assert (trust if trust is None else float(format(trust, ".10g"))) == \
         read_trust_csv(str(out))["10.1.2.3"]
-    if acceptance == "scores":
+    if "scores" in trace:
         # the explained scores are the full categoriser's, also where an
         # unattacked forecast argument gave the trust without them
         kb = load_builtin(config.kb_id)
@@ -175,6 +187,33 @@ def test_infer_explain_trust_matches_csv(model, features_csv, tmp_path, capsys):
             kb, expert.valuation(kb, features.as_dict()), config.use_strength)
         scores = argumentation.categoriser(subaf)
         assert trace["scores"] == {a: scores[a] for a in sorted(scores)}
+
+
+class StageFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("model, module, stage, shown", [
+    ("E1", expert, "resolve_contradictions", ["activated_rules"]),
+    ("FL13", fuzzy, "defuzzify", ["grades", "necessities", "level_truths"]),
+    ("A8", argumentation, "label_and_accrue",
+     ["activated_arguments", "kept_attacks", "forecast_values"]),
+    ("A7", expert, "valuation", []),
+])
+def test_infer_explain_shows_the_failed_stage(model, module, stage, shown, features_csv,
+                                              tmp_path, capsys, monkeypatch):
+    def fail(*_args):
+        raise StageFailure("injected")
+
+    monkeypatch.setattr(module, stage, fail)
+    out = tmp_path / "t.csv"
+    rc = main(["infer", "--model", model, "--features", str(features_csv),
+               "--out", str(out), "--explain", "10.1.2.3"])
+    assert rc == 0
+    trace = _explained(capsys.readouterr().out)
+    assert list(trace) == ["editor_id", "model_id", *shown, "error", "trust"]
+    assert trace["error"] == "StageFailure" and trace["trust"] is None
+    assert read_trust_csv(str(out))["10.1.2.3"] is None
 
 
 def test_evaluate_command(features_csv, barnstars_path, tmp_path, capsys):
@@ -337,14 +376,16 @@ def test_run_matrix_rejects_bad_feature_row(barnstars_path, tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_run_matrix_header_only_features_exit_1(barnstars_path, tmp_path, capsys):
+@pytest.mark.parametrize("command", [["run-matrix", "--jobs", "1"], ["infer", "--model", "E1"]],
+                         ids=["run-matrix", "infer"])
+def test_run_matrix_header_only_features_exit_1(command, barnstars_path, tmp_path, capsys):
     features = tmp_path / "features.csv"
     features.write_text(",".join(FEATURE_COLUMNS) + "\n")
-    rc = main(["run-matrix", "--features", str(features), "--barnstars", str(barnstars_path),
-               "--out", str(tmp_path / "results.csv"), "--jobs", "1"])
+    rc = main([*command, "--features", str(features), "--out", str(tmp_path / "out.csv"),
+               *(["--barnstars", str(barnstars_path)] if command[0] == "run-matrix" else [])])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {features}: no editors\n"
-    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_run_matrix_duplicate_editor_exit_1(features_csv, barnstars_path, tmp_path, capsys):

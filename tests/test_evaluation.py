@@ -432,7 +432,7 @@ def test_each_kb_builds_its_structures_once(fixture_features, barnstars, monkeyp
         run_matrix(kb_set, fixture_features, barnstars, jobs=1)
     for mid in ("E1", "FL1", "A1"):
         run_model(MODEL_REGISTRY[mid], kb_set["KB1"], fixture_features)
-    argumentation.run_argumentation(kb_set["KB1"], fixture_features[0].as_dict(), "grounded", False)
+    evaluation.explain(MODEL_REGISTRY["A3"], kb_set["KB1"], fixture_features[0])
     assert builds == {(name, kb_id): 1 for name in ("graph", "framework") for kb_id in kb_set}
 
 
