@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from . import expert
@@ -49,12 +50,23 @@ class ArgumentationFramework:
     arguments: dict[str, Argument]
     attacks: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def grounded_labelling(self) -> Labelling:
+        """``grounded(self)``, labelled on first read and then shared by
+        the grounded, complete, preferred and stable semantics."""
+        return grounded(self)
+
 
 @dataclass(frozen=True)
 class Labelling:
     labels: dict[str, str]
 
     def in_set(self) -> frozenset[str]:
+        """The IN arguments, collected on the first call."""
+        return self._in_set
+
+    @cached_property
+    def _in_set(self) -> frozenset[str]:
         return frozenset(a for a, l in self.labels.items() if l == IN)
 
     def undec_set(self) -> frozenset[str]:
@@ -159,23 +171,37 @@ def complete(af: ArgumentationFramework) -> list[Labelling]:
 
     Every complete labelling extends the grounded one on its in/out parts,
     and it is fixed by its in-set: OUT is what the in-set attacks, UNDEC
-    the rest (Caminada 2006).  So only the conflict-free subsets of the
-    grounded-undec region are searched, by an include/exclude walk over the
-    sorted region that never takes an argument attacking itself, attacked
-    by a chosen one or attacking one.  A subset is kept when every chosen
-    argument has all its region attackers OUT and every UNDEC argument has
-    an UNDEC attacker.  Labellings come sorted by their labels over the
-    sorted region, IN before OUT before UNDEC.  Refuses frameworks whose
-    undecided region exceeds ENUMERATION_CAP arguments.
+    the rest (Caminada 2006).  So the search starts from the framework's
+    shared ``grounded_labelling``, and when its undecided region is empty
+    that labelling is the only complete one, returned without a search.
+    Otherwise ``_region_labellings`` searches the conflict-free subsets of
+    the region.  Refuses frameworks whose undecided region exceeds
+    ENUMERATION_CAP arguments.
     """
-    base = grounded(af).labels
-    region = sorted(a for a, l in base.items() if l == UNDEC)
+    base = af.grounded_labelling
+    region = sorted(a for a, l in base.labels.items() if l == UNDEC)
+    if not region:
+        return [base]
     if len(region) > ENUMERATION_CAP:
         raise FrameworkTooLargeError(
             f"{len(region)} arguments in the undecided region exceeds the "
             f"exact-enumeration cap of {ENUMERATION_CAP}; use grounded or "
             f"categoriser semantics"
         )
+    return _region_labellings(af, base.labels, region)
+
+
+def _region_labellings(af: ArgumentationFramework, base: dict[str, str],
+                       region: list[str]) -> list[Labelling]:
+    """The complete labellings that extend the grounded labels ``base`` over
+    the sorted, non-empty undecided ``region``.
+
+    An include/exclude walk over the region never takes an argument
+    attacking itself, attacked by a chosen one or attacking one.  A subset
+    is kept when every chosen argument has all its region attackers OUT and
+    every UNDEC argument has an UNDEC attacker.  Labellings come sorted by
+    their labels over the region, IN before OUT before UNDEC.
+    """
     # attackers outside the region are grounded-out and decide nothing here
     attackers = {a: set() for a in region}
     targets = {a: set() for a in region}
@@ -216,7 +242,8 @@ def complete(af: ArgumentationFramework) -> list[Labelling]:
 
 
 def preferred(af: ArgumentationFramework) -> list[Labelling]:
-    """Complete labellings with subset-maximal in-sets."""
+    """Complete labellings with subset-maximal in-sets.  Where the grounded
+    region is empty, that is the framework's shared grounded labelling."""
     all_complete = complete(af)
     in_sets = [l.in_set() for l in all_complete]
     return [
@@ -347,7 +374,7 @@ def labellings(subaf: ArgumentationFramework, semantics: str) -> list[Labelling]
     if semantics == "categoriser":
         return None
     if semantics == "grounded":
-        return [grounded(subaf)]
+        return [subaf.grounded_labelling]
     if semantics == "preferred":
         return preferred(subaf)
     if semantics == "stable":

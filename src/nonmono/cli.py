@@ -101,16 +101,17 @@ def cmd_infer(args) -> int:
     features = _as_user_error(read_features_csv, args.features)
     if not features:
         raise UserError(f"{args.features}: no editors")
-    explain_target = None
+    steps = None
     if args.explain is not None:
-        match = [f for f in features if f.editor_id == args.explain]
-        if not match:
+        if all(f.editor_id != args.explain for f in features):
             raise UserError(f"editor {args.explain!r} not present in {args.features}")
-        explain_target = match[0]
-    trust = evaluation.run_model(config, kb, features)
+        # the explanation reads the stage results of the walk that writes the trust file
+        steps = {args.explain: []}
+    trust = evaluation.run_model(config, kb, features, steps)
     _as_user_error(evaluation.write_trust_csv, trust, config.id, args.out, errors=OSError)
-    if explain_target is not None:
-        print(json.dumps(evaluation.explain(config, kb, explain_target), indent=2))
+    if steps is not None:
+        print(json.dumps(evaluation.explain(config, args.explain, steps[args.explain]),
+                         indent=2))
     assigned = sum(1 for v in trust.values() if v is not None)
     print(f"{len(trust)} editors, {assigned} with assigned trust")
     return 0

@@ -184,10 +184,14 @@ _VALUATION = (("kb_id",), lambda kb, _c, vec, _prev: expert.valuation(kb, vec))
 # stages after it extend that key.  Per editor the 8 expert and 12
 # argumentation models value each KB once, the expert ones then retract
 # once per KB, and the argumentation ones elicit once per (KB, strength
-# filter).  The 48 fuzzy models fuzzify 4 times, resolve 12 times and take
-# level truths 24 times, then aggregate once per distinct level truths,
-# whichever KB, operator or weights flag reached them, and defuzzify once
-# per level truths and method.
+# filter).  The grounded and preferred models of one (KB, strength filter)
+# read the same elicited sub-framework, whose grounded labelling is built
+# on its first read and then shared, so it is labelled once, and never by
+# the categoriser models; the preferred model searches further only where
+# that labelling leaves arguments undecided.  The 48 fuzzy models fuzzify
+# 4 times, resolve 12 times and take level truths 24 times, then aggregate
+# once per distinct level truths, whichever KB, operator or weights flag
+# reached them, and defuzzify once per level truths and method.
 _STAGES = {
     "expert": (
         _VALUATION,
@@ -252,7 +256,7 @@ def _acceptance(subaf: argumentation.ArgumentationFramework, semantics: str) -> 
 
 def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBase],
               features: Sequence[EditorFeatures],
-              steps: list | None = None) -> dict[str, dict[str, float | None]]:
+              steps: Mapping[str, list] | None = None) -> dict[str, dict[str, float | None]]:
     """Per-editor trust of every selected model, editor by editor.
 
     For each editor every distinct stage runs once and its result fans out
@@ -263,8 +267,9 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
     chains reached that input.  An unknown engine raises ``ValueError``, and
     a selected KB reading a feature that the feature vector lacks raises
     ``expert.MissingFeatureError``, before any editor is evaluated.  A
-    ``steps`` list gets each stage result the walk reads, or the exception
-    of the stage that failed, in chain order.
+    ``steps`` mapping gets, in the list under each editor id it holds, each
+    stage result the walk over that editor reads, or the exception of the
+    stage that failed, model by model in chain order.
     """
     chains = []
     for config in selected:
@@ -291,6 +296,7 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
     trust: dict[str, dict[str, float | None]] = {config.id: {} for config in selected}
     for f in features:
         vec = f.as_dict()
+        trail = steps.get(f.editor_id) if steps else None
         done: dict[tuple, object] = {}  # stage key -> result or the exception it raised
         for config, kb, keyed in chains:
             value = None
@@ -306,8 +312,8 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
                     except Exception as exc:
                         done[key] = exc
                 value = done[key]
-                if steps is not None:
-                    steps.append(value)
+                if trail is not None:
+                    trail.append(value)
                 if isinstance(value, Exception):
                     log.error("model %s failed for editor %s; recording NA",
                               config.id, f.editor_id, exc_info=value)
@@ -317,25 +323,24 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
     return trust
 
 
-def run_model(config: ModelConfig, kb: KnowledgeBase,
-              features: Sequence[EditorFeatures]) -> dict[str, float | None]:
+def run_model(config: ModelConfig, kb: KnowledgeBase, features: Sequence[EditorFeatures],
+              steps: Mapping[str, list] | None = None) -> dict[str, float | None]:
     """Per-editor trust values of one model: the matrix plan over that model
-    alone.  An engine failure for an editor degrades to NA for that editor
-    and the run continues.  An unknown engine raises ``ValueError`` before
-    any editor is evaluated."""
-    return _evaluate([config], {config.kb_id: kb}, features)[config.id]
+    alone, filling ``steps`` as ``_evaluate`` does.  An engine failure for
+    an editor degrades to NA for that editor and the run continues.  An
+    unknown engine raises ``ValueError`` before any editor is evaluated."""
+    return _evaluate([config], {config.kb_id: kb}, features, steps)[config.id]
 
 
-def explain(config: ModelConfig, kb: KnowledgeBase, editor: EditorFeatures) -> dict:
-    """One editor's result under one model, read from the stage results of
-    the walk that computes its trust: the editor and model ids, each
-    stage's keys from ``_DESCRIBE``, then the trust.  A failed stage ends
-    the keys with ``error``, its exception's type name, and a null trust."""
-    steps: list = []
-    _evaluate([config], {config.kb_id: kb}, [editor], steps)
-    out: dict = {"editor_id": editor.editor_id, "model_id": config.id}
+def explain(config: ModelConfig, editor_id: str, results: Sequence) -> dict:
+    """One editor's result under one model, read from ``results``, the stage
+    results that ``run_model``'s walk over that editor filled in: the editor
+    and model ids, each stage's keys from ``_DESCRIBE``, then the trust.  A
+    failed stage ends the keys with ``error``, its exception's type name,
+    and a null trust."""
+    out: dict = {"editor_id": editor_id, "model_id": config.id}
     prev = None
-    for describe, result in zip(_DESCRIBE[config.engine], steps):
+    for describe, result in zip(_DESCRIBE[config.engine], results):
         if isinstance(result, Exception):
             out["error"] = type(result).__name__
             result = None

@@ -1,7 +1,9 @@
 import bz2
 import gzip
 import json
+import logging
 import os
+from collections import Counter
 from xml.etree import ElementTree as ET
 
 import pytest
@@ -214,6 +216,29 @@ def test_infer_explain_shows_the_failed_stage(model, module, stage, shown, featu
     assert list(trace) == ["editor_id", "model_id", *shown, "error", "trust"]
     assert trace["error"] == "StageFailure" and trace["trust"] is None
     assert read_trust_csv(str(out))["10.1.2.3"] is None
+
+
+@pytest.mark.parametrize("model, module, stage", [
+    ("FL13", fuzzy, "defuzzify"),
+    ("A7", argumentation, "label_and_accrue"),
+])
+def test_infer_explain_logs_one_error_per_editor(model, module, stage, features_csv, tmp_path,
+                                                 caplog, monkeypatch):
+    # the explanation comes from the walk that writes the trust file, so the
+    # explained editor's failure is logged once, as every other editor's is
+    def fail(*_args):
+        raise StageFailure("injected")
+
+    monkeypatch.setattr(module, stage, fail)
+    with caplog.at_level(logging.ERROR):
+        rc = main(["infer", "--model", model, "--features", str(features_csv),
+                   "--out", str(tmp_path / "t.csv"), "--explain", "10.1.2.3"])
+    assert rc == 0
+    errors = Counter(r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR)
+    editors = [f.editor_id for f in read_features_csv(str(features_csv))]
+    assert len(editors) == 12 and "10.1.2.3" in editors
+    assert errors == Counter(f"model {model} failed for editor {e}; recording NA"
+                             for e in editors)
 
 
 def test_evaluate_command(features_csv, barnstars_path, tmp_path, capsys):

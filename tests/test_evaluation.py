@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import reference_impl as ref
 from conftest import curve
 from nonmono import argumentation, evaluation, expert, fuzzy
 from nonmono.evaluation import (
@@ -432,7 +433,8 @@ def test_each_kb_builds_its_structures_once(fixture_features, barnstars, monkeyp
         run_matrix(kb_set, fixture_features, barnstars, jobs=1)
     for mid in ("E1", "FL1", "A1"):
         run_model(MODEL_REGISTRY[mid], kb_set["KB1"], fixture_features)
-    evaluation.explain(MODEL_REGISTRY["A3"], kb_set["KB1"], fixture_features[0])
+    run_model(MODEL_REGISTRY["A3"], kb_set["KB1"], fixture_features[:1],
+              {fixture_features[0].editor_id: []})
     assert builds == {(name, kb_id): 1 for name in ("graph", "framework") for kb_id in kb_set}
 
 
@@ -542,21 +544,55 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
     antecedents = sum(len({r.antecedent for r in kb.rules.values()}
                           | {c.premises for c in kb.contradictions.values() if c.premises})
                       for kb in kb_set.values())
+    # a preferred model searches its sub-framework's grounded-undecided
+    # region only when the region holds an argument; the reference's own
+    # elicitation and fixpoint grounded labelling count those, one
+    # sub-framework per (KB, strength filter)
+    searched = [sum(any(label == "undec" for label in ref.brute_grounded(
+                        *ref.build_subaf(kb_id, f.as_dict(), strength))[0].values())
+                    for kb_id in kb_set for strength in (False, True))
+                for f in editors]
+    assert len(set(searched)) > 1
     calls = {}
     for module, name in ((fuzzy, "fuzzify"), (fuzzy, "resolve_possibility"),
                          (fuzzy, "aggregate_levels"), (fuzzy, "defuzzify"),
                          (expert, "valuation"), (expert, "activate_rules"),
-                         (expert, "evaluate_antecedent"), (argumentation, "elicit_subaf")):
+                         (expert, "evaluate_antecedent"), (argumentation, "elicit_subaf"),
+                         (argumentation, "grounded"), (argumentation, "_region_labellings")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    for editor, n in zip(editors, distinct):
+    for editor, n, regions in zip(editors, distinct, searched):
         calls.clear()
         run_matrix(kb_set, [editor], barnstars, jobs=1)
-        assert calls == {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": n,
-                         "defuzzify": 2 * n, "valuation": 2, "activate_rules": 2,
-                         "evaluate_antecedent": antecedents, "elicit_subaf": 4}, editor
+        # one grounded labelling per sub-framework, which its grounded and
+        # preferred models share
+        want = {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": n,
+                "defuzzify": 2 * n, "valuation": 2, "activate_rules": 2,
+                "evaluate_antecedent": antecedents, "elicit_subaf": 4, "grounded": 4}
+        if regions:
+            want["_region_labellings"] = regions
+        assert calls == want, editor
+
+
+def test_categoriser_models_never_label(kb1, kb2, fixture_features, barnstars, monkeypatch):
+    # the grounded labelling is built when a semantics reads it, not as a
+    # stage of every argumentation chain
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    calls = Counter()
+    for name in ("grounded", "categoriser", "elicit_subaf"):
+        def counted(*args, _real=getattr(argumentation, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(argumentation, name, counted)
+    models = ["A2", "A5", "A8", "A11"]
+    run_matrix(kb_set, fixture_features, barnstars, models, jobs=1)
+    for mid in models:
+        config = MODEL_REGISTRY[mid]
+        run_model(config, kb_set[config.kb_id], fixture_features)
+    assert calls["grounded"] == 0
+    assert calls["elicit_subaf"] == 2 * 4 * len(fixture_features) and calls["categoriser"]
 
 
 def test_fuzzy_models_never_build_the_output_curve(kb1, kb2, fixture_features, barnstars,

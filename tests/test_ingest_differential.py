@@ -12,10 +12,15 @@ whose first revision is skipped and page ``<id>``s after ``<title>`` and
 default chunk size and at chunks small enough to split fields across
 ``Parse`` calls.  The oracle takes a ``<text>`` at any depth of a revision,
 the streaming reader only the revision's own, so the oracle reads each dump
-with every non-main slot's ``<text>`` renamed (``_main_slot_only``).  On the
+with every non-main slot's and unknown child's ``<text>`` renamed
+(``_main_slot_only``).  On the
 well-formed subset (no skips, ``bytes`` on every ``<text>``, which is all
 the DOM reference reads) the features must equal
-``reference_impl.extract_features_dom``.
+``reference_impl.extract_features_dom``.  Those well-formed dumps also hold
+other slots' ``<content>`` and unknown children with a nested ``<minor/>``,
+``<text>``, ``<id>``, ``<timestamp>`` and ``<comment>``; the oracle takes a
+``<minor>`` at any depth too, so ``_main_slot_only`` renames the nested
+``<minor>`` as well.
 """
 from __future__ import annotations
 
@@ -235,15 +240,21 @@ def _revision(rng: random.Random, rev_id: int, when: datetime, clean: bool,
                 timestamp, contributor, "<minor />" if rng.random() < 0.3 else "",
                 rng.choice(COMMENTS), "<model>wikitext</model>",
                 "<format>text/x-wiki</format>", text, "<sha1>0123abc</sha1>"]
-    if not clean and rng.random() < 0.25:
-        # a second <text>, as a revision's own child or in another slot's <content>
+    if rng.random() < 0.25:
+        # another slot's <content>: its <text> and <minor> are not the revision's
+        slot = ["<role>aux</role>", "<model>json</model>", f'<text bytes="{size // 2}" />',
+                "<minor />" if rng.random() < 0.5 else ""]
+        rng.shuffle(slot)
+        children.append(f"<content>{''.join(slot)}</content>")
+    if not clean and rng.random() < 0.15:
+        # a second <text> of the revision's own
         children.append(rng.choice((
-            f'<content><role>aux</role><model>json</model><text bytes="{size // 2}" /></content>',
             "<text>abc</text>", '<text bytes="x">de</text>', f'<text bytes="{size + 7}" />')))
-    if not clean and rng.random() < 0.2:
+    if rng.random() < 0.2:
         # fields nested below an unknown child are not the revision's
         children.append("<extension><id>77</id><timestamp>1999-01-01T00:00:00Z</timestamp>"
-                        "<comment>nested</comment><contributor /></extension>")
+                        f'<comment>nested</comment><minor /><text bytes="{size + 3}">ab</text>'
+                        "<contributor /></extension>")
     if not clean and rng.random() < 0.3:
         # the schema fixes no order among a revision's children
         rng.shuffle(children)
@@ -254,7 +265,10 @@ def _revision(rng: random.Random, rev_id: int, when: datetime, clean: bool,
 def random_dump(seed: int, clean: bool) -> bytes:
     """A seeded dump of a few pages.  ``clean`` leaves out every skip and
     every ``<text>`` without an integer ``bytes``, and pads no field with
-    whitespace, so that the DOM reference reads it as the program does."""
+    whitespace, so that the DOM reference reads it as the program does.
+    Clean or not, a revision may hold another slot's ``<content>`` and an
+    unknown child, whose ``<minor>``, ``<text>``, ``<id>``, ``<timestamp>``
+    and ``<comment>`` are not the revision's."""
     rng = random.Random(seed)
     out = [f'<mediawiki xmlns="{NS}" version="0.10" xml:lang="en">',
            '  <siteinfo><sitename>Diff</sitename><namespaces>'
@@ -293,12 +307,16 @@ def random_dump(seed: int, clean: bool) -> bytes:
 
 
 def _main_slot_only(data: bytes) -> bytes:
-    """``data`` with each ``<content>`` slot's ``<text`` renamed ``<txet``,
-    which no reader takes: the oracle then reads only the revision's own
-    ``<text>``, as the streaming reader does.  Byte offsets are kept."""
-    return re.sub(rb"<content>.*?</content>",
-                  lambda m: m.group().replace(b"<text", b"<txet").replace(b"</text", b"</txet"),
-                  data, flags=re.S)
+    """``data`` with the ``<text`` and ``<minor`` tags inside each
+    ``<content>`` slot and each unknown ``<extension>`` child renamed
+    ``<txet`` and ``<ronim``, which no reader takes: the oracle, which reads
+    both at any depth, then reads only the revision's own, as the streaming
+    reader does.  Byte offsets are kept."""
+    def rename(m):
+        return (m.group().replace(b"<text", b"<txet").replace(b"</text", b"</txet")
+                .replace(b"<minor", b"<ronim").replace(b"</minor", b"</ronim"))
+
+    return re.sub(rb"<(content|extension)>.*?</\1>", rename, data, flags=re.S)
 
 
 def _read(stream_type, data: bytes):
@@ -349,6 +367,26 @@ def test_generator_covers_the_cases():
     assert len("héllo wörld & more".encode()) in {r.page_bytes for r in records}
     # revision 101 opens page 1 of every dump, and is skipped
     assert "101" not in {r.revision_id for r in records}
+    # the clean dumps, which the DOM reference reads, hold the nested fields too
+    clean = [random_dump(seed, clean=True) for seed in SEEDS]
+    nested = [m.group() for data in clean
+              for m in re.finditer(rb"<(content|extension)>.*?</\1>", data, flags=re.S)]
+    for needle in (b"<content>", b"<extension>", b"<minor />", b"<text ", b"<id>",
+                   b"<timestamp>", b"<comment>"):
+        assert any(needle in element for element in nested), needle
+    assert any(e.startswith(b"<content>") and b"<minor />" in e for e in nested)
+    # and the oracle would take a nested <minor> or <text> for the revision's
+    flags = lambda data: [(r.minor_flag, r.page_bytes)
+                          for r in _read(OracleRevisionStream, data)[0]]
+    assert any(flags(data) != flags(_main_slot_only(data)) for data in clean)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_clean_records_match_oracle(seed, chunk):
+    data = random_dump(seed, clean=True)
+    records, skipped = _read(stream_revisions, data)
+    assert records and skipped == 0
+    assert (records, skipped) == _read(OracleRevisionStream, _main_slot_only(data))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
