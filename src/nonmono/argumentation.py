@@ -89,7 +89,7 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
             label=rule.label,
             kind="forecast",
             premises=rule.antecedent,
-            strength=kb.rule_weight(rule.label),
+            strength=kb.weight(rule.antecedent),
             consequent_level=rule.consequent_level,
             rule=rule.label,
         )
@@ -106,7 +106,7 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
             label=c.label,
             kind="mitigating",
             premises=premises,
-            strength=max(kb.features[f].weight for conj in premises for (f, _t) in conj),
+            strength=kb.weight(premises),
             attack_kind="undercutting" if c.rule is None else "undermining",
             rule=c.rule,
         )
@@ -301,18 +301,6 @@ def argument_value(valuation: expert.Valuation, arg: Argument) -> float:
     return valuation.activated[arg.rule].value
 
 
-def _accrue_values(pairs: list[tuple[float, int]], weighted: bool) -> float | None:
-    if not pairs:
-        return None
-    if not weighted:
-        return sum(v for v, _w in pairs) / len(pairs)
-    total = sum(w for _v, w in pairs)
-    if total == 0:
-        log.warning("total argument strength is 0; falling back to unweighted mean")
-        return sum(v for v, _w in pairs) / len(pairs)
-    return sum(v * w for v, w in pairs) / total
-
-
 def accrue_extensions(subaf: ArgumentationFramework, labellings: list[Labelling],
                       values: dict[str, float], weighted: bool) -> float | None:
     """Cardinality accrual: keep the largest extensions (all accepted
@@ -331,9 +319,8 @@ def accrue_extensions(subaf: ArgumentationFramework, labellings: list[Labelling]
             for a in sorted(l.in_set())
             if subaf.arguments[a].kind == "forecast"
         ]
-        trust = _accrue_values(pairs, weighted)
-        if trust is not None:
-            trusts.append(trust)
+        if pairs:
+            trusts.append(expert.mean(pairs, weighted))
     if not trusts:
         return None
     return sum(trusts) / len(trusts)
@@ -352,7 +339,7 @@ def accrue_categoriser(subaf: ArgumentationFramework, scores: dict[str, float],
         for a in sorted(forecast)
         if scores[a] >= best - CAT_TIE_EPS
     ]
-    return _accrue_values(pairs, weighted)
+    return expert.mean(pairs, weighted)
 
 
 def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
@@ -403,6 +390,6 @@ def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
     top = sorted(a for a, arg in subaf.arguments.items()
                  if arg.kind == "forecast" and a not in attacked)
     if top:
-        return _accrue_values([(values[a], subaf.arguments[a].strength) for a in top],
-                              use_strength)
+        return expert.mean([(values[a], subaf.arguments[a].strength) for a in top],
+                           use_strength)
     return accrue_categoriser(subaf, categoriser(subaf), values, weighted=use_strength)

@@ -152,6 +152,14 @@ def _write_plots(results, baseline_by_metric, out_dir: Path) -> list[Path]:
     return written
 
 
+def _baseline(features, barnstars: set[str]) -> dict[str, float | None]:
+    """The rank and spread of the feature-average baseline, which the
+    charts draw as a line."""
+    trust = _as_user_error(evaluation.baseline_feature_average, features)
+    return {"rank": evaluation.rank_of_barnstars(trust, barnstars),
+            "spread": evaluation.spread(trust, barnstars)}
+
+
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else every CPU the machine has."""
@@ -180,12 +188,8 @@ def cmd_run_matrix(args) -> int:
     _as_user_error(evaluation.write_results_csv, results, args.dataset, args.out, errors=OSError)
     completed = sum(1 for _c, t in results if t.na_pct is not None and t.na_pct < 100.0)
     if args.plots:
-        baseline_trust = _as_user_error(evaluation.baseline_feature_average, features)
-        baseline_by_metric = {
-            "rank": evaluation.rank_of_barnstars(baseline_trust, barnstars),
-            "spread": evaluation.spread(baseline_trust, barnstars),
-        }
-        _as_user_error(_write_plots, [(c.id, t) for c, t in results], baseline_by_metric,
+        _as_user_error(_write_plots, [(c.id, t) for c, t in results],
+                       _baseline(features, barnstars),
                        Path(args.plot_dir or Path(args.out).parent), errors=OSError)
     print(f"{len(results)} models, {completed} produced at least one trust value")
     if results and completed == 0:
@@ -221,11 +225,7 @@ def cmd_report(args) -> int:
     if args.features is not None:
         features = _as_user_error(read_features_csv, args.features)
         barnstars = _as_user_error(read_barnstars, args.barnstars)
-        baseline_trust = _as_user_error(evaluation.baseline_feature_average, features)
-        baseline_by_metric = {
-            "rank": evaluation.rank_of_barnstars(baseline_trust, barnstars),
-            "spread": evaluation.spread(baseline_trust, barnstars),
-        }
+        baseline_by_metric = _baseline(features, barnstars)
     written = _as_user_error(_write_plots, triples, baseline_by_metric, Path(args.out_dir),
                              errors=OSError)
     print("\n".join(str(p) for p in written))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import argumentation, expert, fuzzy
-from .ingest import FEATURE_NAMES, EditorFeatures
+from .ingest import FEATURE_NAMES, EditorFeatures, read_rows
 from .kb.model import KnowledgeBase
 
 log = logging.getLogger(__name__)
@@ -41,41 +41,30 @@ class ModelConfig:
 
 
 def _build_registry() -> dict[str, ModelConfig]:
-    registry: dict[str, ModelConfig] = {}
-    for i, heuristic in enumerate(expert.HEURISTICS, start=1):
-        registry[f"E{i}"] = ModelConfig(f"E{i}", "expert", "KB1", heuristic=heuristic)
-        registry[f"E{i + 4}"] = ModelConfig(f"E{i + 4}", "expert", "KB2", heuristic=heuristic)
     fuzzy_grid = [
-        (operator, defuzz, weights)
+        dict(operator=operator, defuzz=defuzz, use_weights=weights)
         for weights in (False, True)
         for operator in ("zadeh", "product", "lukasiewicz")
         for defuzz in ("centroid", "mean_of_max")
     ]
-    for prefix, variant in (("FL", "triangular"), ("FC", "gaussian")):
-        for i, (operator, defuzz, weights) in enumerate(fuzzy_grid, start=1):
-            for kb_id, offset in (("KB1", 0), ("KB2", 12)):
-                mid = f"{prefix}{i + offset}"
-                registry[mid] = ModelConfig(
-                    mid, "fuzzy", kb_id, operator=operator, defuzz=defuzz,
-                    fmf_variant=variant, use_weights=weights,
-                )
     arg_grid = [
         ("preferred", False), ("categoriser", False), ("grounded", False),
         ("preferred", True), ("categoriser", True), ("grounded", True),
     ]
-    for i, (semantics, strength) in enumerate(arg_grid, start=1):
-        for kb_id, offset in (("KB1", 0), ("KB2", 6)):
-            mid = f"A{i + offset}"
-            registry[mid] = ModelConfig(
-                mid, "argumentation", kb_id, semantics=semantics, use_strength=strength,
-            )
-    order = (
-        [f"E{i}" for i in range(1, 9)]
-        + [f"FL{i}" for i in range(1, 25)]
-        + [f"FC{i}" for i in range(1, 25)]
-        + [f"A{i}" for i in range(1, 13)]
+    families = (
+        ("E", "expert", [dict(heuristic=heuristic) for heuristic in expert.HEURISTICS]),
+        ("FL", "fuzzy", [dict(g, fmf_variant="triangular") for g in fuzzy_grid]),
+        ("FC", "fuzzy", [dict(g, fmf_variant="gaussian") for g in fuzzy_grid]),
+        ("A", "argumentation", [dict(semantics=semantics, use_strength=strength)
+                                for semantics, strength in arg_grid]),
     )
-    return {mid: registry[mid] for mid in order}
+    # each family numbers its grid over KB1, then again over KB2
+    registry: dict[str, ModelConfig] = {}
+    for prefix, engine, grid in families:
+        for k, kb_id in enumerate(("KB1", "KB2")):
+            for i, params in enumerate(grid, start=1 + k * len(grid)):
+                registry[f"{prefix}{i}"] = ModelConfig(f"{prefix}{i}", engine, kb_id, **params)
+    return registry
 
 
 MODEL_REGISTRY: dict[str, ModelConfig] = _build_registry()
@@ -550,25 +539,6 @@ def _optional_value(name: str, text: str, low: float, high: float) -> float | No
     return x
 
 
-def _read_rows(path: str, rows, parse, columns: tuple[str, ...], key: str) -> dict:
-    """``parse`` of each non-empty row after the header, by its first field.
-    A row with the wrong column count, a value ``parse`` rejects or a
-    repeated first field raises ``ValueError`` naming the file and line."""
-    out = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != len(columns):
-                raise ValueError(f"{len(row)} columns, expected {len(columns)}")
-            if row[0] in out:
-                raise ValueError(f"duplicate {key} {row[0]!r}")
-            out[row[0]] = parse(row)
-        except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
-
-
 def _result_row(row: list[str]) -> tuple[str, str, float | None, float | None, float | None]:
     mid, dataset, rank, spr, na = row
     return (mid, dataset, _optional_value("rank", rank, 0.0, 100.0),
@@ -584,8 +554,8 @@ def read_results_csv(path: str) -> list[tuple[str, str, float | None, float | No
         if tuple(header.split(",")) != RESULT_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(RESULT_COLUMNS)}")
         lines = map(str.strip, fh)
-        rows = _read_rows(path, (line.split(",") if line else [] for line in lines),
-                          _result_row, RESULT_COLUMNS, "model id")
+        rows = read_rows(path, (line.split(",") if line else [] for line in lines),
+                         _result_row, RESULT_COLUMNS, "model id")
     return list(rows.values())
 
 
@@ -606,5 +576,5 @@ def read_trust_csv(path: str) -> dict[str, float | None]:
         header = next(reader, None)
         if header is None or tuple(header) != TRUST_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(TRUST_COLUMNS)}")
-        return _read_rows(path, reader, lambda row: _optional_value("trust", row[2], 0.0, 1.0),
-                          TRUST_COLUMNS, "editor id")
+        return read_rows(path, reader, lambda row: _optional_value("trust", row[2], 0.0, 1.0),
+                         TRUST_COLUMNS, "editor id")

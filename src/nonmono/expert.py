@@ -158,18 +158,16 @@ def resolve_contradictions(
     return tuple(surviving.values()), tuple(discarded)
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values)
-
-
-def _weighted_mean(pairs) -> float:
-    pairs = list(pairs)
-    total = sum(w for _v, w in pairs)
-    if total == 0:
-        log.warning("total rule weight is 0; falling back to unweighted mean")
-        return _mean(v for v, _w in pairs)
-    return sum(v * w for v, w in pairs) / total
+def mean(pairs: list[tuple[float, float]], weighted: bool) -> float:
+    """Mean of the values of non-empty ``(value, weight)`` pairs, weighted
+    when ``weighted``.  A zero total weight falls back to the unweighted
+    mean with one WARNING."""
+    if weighted:
+        total = sum(w for _v, w in pairs)
+        if total:
+            return sum(v * w for v, w in pairs) / total
+        log.warning("total weight is 0; falling back to unweighted mean")
+    return sum(v for v, _w in pairs) / len(pairs)
 
 
 def aggregate(surviving, heuristic: str) -> float | None:
@@ -182,17 +180,11 @@ def aggregate(surviving, heuristic: str) -> float | None:
         return None
     weighted = heuristic in ("h2", "h4")
     if heuristic in ("h3", "h4"):
-        if weighted:
-            return _weighted_mean((r.value, r.weight) for r in rules)
-        return _mean(r.value for r in rules)
+        return mean([(r.value, r.weight) for r in rules], weighted)
     groups: dict[str, list[ActivatedRule]] = {}
     for r in rules:
         groups.setdefault(r.consequent_level, []).append(r)
     top = max(len(g) for g in groups.values())
-    largest = [g for g in groups.values() if len(g) == top]
-    if weighted:
-        means = [_weighted_mean((r.value, r.weight) for r in g) for g in largest]
-    else:
-        means = [_mean(r.value for r in g) for g in largest]
-    return _mean(means)
-
+    means = [mean([(r.value, r.weight) for r in g], weighted)
+             for g in groups.values() if len(g) == top]
+    return sum(means) / len(means)

@@ -19,12 +19,6 @@ from xml.parsers import expat
 log = logging.getLogger(__name__)
 
 WIKI_START_DEFAULT = datetime(2001, 1, 15, tzinfo=timezone.utc)
-FEATURE_COLUMNS = (
-    "editor_id", "anonymous", "pages", "activity", "not_minor",
-    "comments", "presence", "frequency", "regularity", "bytes",
-)
-_INTEGER_COLUMNS = ("anonymous", "pages", "activity", "bytes")
-_RATIO_COLUMNS = ("not_minor", "comments", "presence", "frequency", "regularity")
 _DAY = 86400
 
 
@@ -272,21 +266,18 @@ class EditorFeatures:
     bytes: int
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "anonymous": float(self.anonymous),
-            "pages": float(self.pages),
-            "activity": float(self.activity),
-            "not_minor": self.not_minor,
-            "comments": self.comments,
-            "presence": self.presence,
-            "frequency": self.frequency,
-            "regularity": self.regularity,
-            "bytes": float(self.bytes),
-        }
+        """The feature vector: every column but ``editor_id``, integer
+        columns as floats."""
+        return {name: float(getattr(self, name)) if name in _INTEGER_COLUMNS
+                else getattr(self, name) for name in FEATURE_COLUMNS[1:]}
 
 
+# The features file's columns, in the field order of ``EditorFeatures``.
+FEATURE_COLUMNS = tuple(f.name for f in fields(EditorFeatures))
+_INTEGER_COLUMNS = ("anonymous", "pages", "activity", "bytes")
+_RATIO_COLUMNS = tuple(c for c in FEATURE_COLUMNS[1:] if c not in _INTEGER_COLUMNS)
 # The feature vector's names, the keys of ``EditorFeatures.as_dict``.
-FEATURE_NAMES = frozenset(f.name for f in fields(EditorFeatures)) - {"editor_id"}
+FEATURE_NAMES = frozenset(FEATURE_COLUMNS[1:])
 
 
 def accumulate(
@@ -299,16 +290,21 @@ def accumulate(
 
     A revision's byte contribution is the size delta against the previous
     revision of the same page; a page's first revision contributes its full
-    size.
+    size.  Revisions after the dump instant are counted in, with one WARNING
+    giving their count and the first one's id.
     """
     dump_ts = dump_instant.timestamp()
     editors: dict[str, EditorAccumulator] = {}
     current_page: str | None = None
     prev_bytes = 0
+    late = 0
+    first_late = None
     for page_id, revision_id, timestamp, editor_id, anonymous, comment, minor, size in records:
         ts = timestamp.timestamp()
         if ts > dump_ts:
-            log.warning("revision %s is after the dump instant", revision_id)
+            if not late:
+                first_late = revision_id
+            late += 1
         if page_id != current_page:
             current_page = page_id
             prev_bytes = 0
@@ -317,6 +313,9 @@ def accumulate(
             acc = editors[editor_id] = EditorAccumulator(editor_id, anonymous)
         acc.add(ts, minor, comment, page_id, size - prev_bytes)
         prev_bytes = size
+    if late:
+        log.warning("%d revision(s) after the dump instant %s, the first %s",
+                    late, dump_instant.isoformat(), first_late)
     window_seconds = window_days * _DAY
     for acc in editors.values():
         acc.seal(window_seconds)
@@ -380,11 +379,8 @@ def write_features_csv(features: Iterable[EditorFeatures], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FEATURE_COLUMNS)
         for f in features:
-            writer.writerow([
-                f.editor_id, f.anonymous, f.pages, f.activity,
-                _fmt(f.not_minor), _fmt(f.comments), _fmt(f.presence),
-                _fmt(f.frequency), _fmt(f.regularity), f.bytes,
-            ])
+            writer.writerow([_fmt(getattr(f, c)) if c in _RATIO_COLUMNS else getattr(f, c)
+                             for c in FEATURE_COLUMNS])
 
 
 def read_features_csv(path: str) -> list[EditorFeatures]:
@@ -393,20 +389,27 @@ def read_features_csv(path: str) -> list[EditorFeatures]:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != FEATURE_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(FEATURE_COLUMNS)}")
-        out = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                features = _feature_row(row)
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: bad feature row ({e})") from None
-            if features.editor_id in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate editor_id "
-                                 f"{features.editor_id!r}")
-            seen.add(features.editor_id)
-            out.append(features)
+        return list(read_rows(path, reader, _feature_row, FEATURE_COLUMNS, "editor_id").values())
+
+
+def read_rows(path: str, rows, parse, columns: tuple[str, ...], key: str) -> dict:
+    """``parse`` of each non-empty row after the header, by its first field.
+    A row with the wrong column count, a value ``parse`` rejects or a
+    repeated first field, checked in that order, raises ``ValueError``
+    naming the file and line."""
+    out = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != len(columns):
+                raise ValueError(f"{len(row)} columns, expected {len(columns)}")
+            value = parse(row)
+            if row[0] in out:
+                raise ValueError(f"duplicate {key} {row[0]!r}")
+            out[row[0]] = value
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     return out
 
 
@@ -414,8 +417,6 @@ def _feature_row(row: list[str]) -> EditorFeatures:
     """One features-file row.  Every value must be finite, counts
     non-negative integers, ``bytes`` an integer, ratios in [0, 1] and
     ``anonymous`` 0 or 1; the first violation raises ``ValueError``."""
-    if len(row) != len(FEATURE_COLUMNS):
-        raise ValueError(f"{len(row)} columns, expected {len(FEATURE_COLUMNS)}")
     values: dict[str, int | float] = {}
     for name, text in zip(FEATURE_COLUMNS[1:], row[1:]):
         values[name] = x = _parse_number(name, text)

@@ -189,9 +189,6 @@ class Rule:
     antecedent: Dnf
     consequent_level: str
 
-    def features(self) -> set[str]:
-        return {f for conj in self.antecedent for (f, _t) in conj}
-
 
 @dataclass(frozen=True)
 class Contradiction:
@@ -310,48 +307,37 @@ class KnowledgeBase:
 
         return argumentation.build_af(self)
 
+    def weight(self, dnf: Dnf) -> int:
+        """Weight of an antecedent: max weight over its features."""
+        return max(self.features[f].weight for conj in dnf for (f, _t) in conj)
+
     @cached_property
     def _rule_weights(self) -> dict[str, int]:
-        return {
-            label: max(self.features[f].weight for f in rule.features())
-            for label, rule in self.rules.items()
-        }
+        return {label: self.weight(rule.antecedent) for label, rule in self.rules.items()}
 
     def rule_weight(self, rule_label: str) -> int:
-        """Weight of a rule: max weight over its antecedent's features."""
+        """Weight of a rule's antecedent, looked up by rule label."""
         return self._rule_weights[rule_label]
 
 
 def contradiction_graph(kb: KnowledgeBase) -> tuple[tuple[Contradiction, ...], ...]:
-    """The contradictions in firing order: Kahn layers over the cycle
-    condensation of the contradiction-on-contradiction edges, root first.
-    Every contradiction of a strongly connected component shares its
-    component's layer, and a layer is sorted by label."""
+    """The contradictions in firing order: longest-path layers over the
+    cycle condensation of the contradiction-on-contradiction edges, root
+    first.  Every contradiction of a strongly connected component shares
+    its component's layer, and a layer is sorted by label."""
     labels = sorted(kb.contradictions)
     edges = {label: kb.contradictions[label].contradiction_targets for label in labels}
     comp_of = _tarjan_scc(labels, edges)
-    comps: dict[int, list[str]] = {}
-    for n, c in comp_of.items():
-        comps.setdefault(c, []).append(n)
-    # longest-path depth of each component in the condensation, by Kahn's
-    # order: a component's depth is final once all its predecessors are done
-    comp_succ = {
-        c: {comp_of[t] for n in members for t in edges[n] if comp_of[t] != c}
-        for c, members in comps.items()
-    }
-    indegree = dict.fromkeys(comps, 0)
-    for succs in comp_succ.values():
-        for s in succs:
-            indegree[s] += 1
-    depth = dict.fromkeys(comps, 0)
-    ready = [c for c in comps if indegree[c] == 0]
-    for c in ready:
-        for s in comp_succ[c]:
-            depth[s] = max(depth[s], depth[c] + 1)
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                ready.append(s)
-    layers: list[list[Contradiction]] = [[] for _ in range(1 + max(depth.values(), default=0))]
+    # Tarjan numbers a component only after every component it reaches, so
+    # in descending component number a component's longest-path depth is
+    # final before any of its edges is read
+    depth = [0] * len(labels)  # by component id; every id is below len(labels)
+    for n in sorted(labels, key=comp_of.__getitem__, reverse=True):
+        c = comp_of[n]
+        for t in edges[n]:
+            if comp_of[t] != c:
+                depth[comp_of[t]] = max(depth[comp_of[t]], depth[c] + 1)
+    layers: list[list[Contradiction]] = [[] for _ in range(1 + max(depth, default=0))]
     for label in labels:
         layers[depth[comp_of[label]]].append(kb.contradictions[label])
     return tuple(map(tuple, layers))

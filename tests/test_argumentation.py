@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import random
 import sys
@@ -442,6 +443,22 @@ def test_accrue_weighted_by_strength():
     lab = arg.grounded(af)
     out = arg.accrue_extensions(af, [lab], {"A": 0.2, "B": 0.8}, True)
     assert out == pytest.approx((0.2 * 3 + 0.8) / 4)
+
+
+@pytest.mark.parametrize("semantics, attacks", [
+    ("grounded", []),
+    ("categoriser", []),
+    ("categoriser", [("A", "B"), ("B", "A")]),
+])
+def test_weighted_accrual_zero_strength_falls_back(caplog, semantics, attacks):
+    # the extension accrual, the unattacked-forecast shortcut and the
+    # categoriser accrual over arguments of total strength 0
+    af = toy_af({"A": 0, "B": 0}, attacks)
+    trust = arg.label_and_accrue(af, {"A": 0.2, "B": 0.8}, semantics, True)
+    assert trust == pytest.approx(0.5)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warnings] == [
+        "total weight is 0; falling back to unweighted mean"]
 
 
 def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):

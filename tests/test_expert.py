@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,6 +175,9 @@ def test_aggregate_weighted():
 def test_aggregate_zero_weight_falls_back(caplog):
     rules = [mk_rule("a", 0.2, "low", weight=0), mk_rule("b", 0.8, "high", weight=0)]
     assert expert.aggregate(rules, "h4") == pytest.approx(0.5)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warnings] == [
+        "total weight is 0; falling back to unweighted mean"]
 
 
 def test_aggregate_empty_is_na():

@@ -1,4 +1,5 @@
 import io
+import logging
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -135,6 +136,16 @@ def test_accumulate_day_straddles_window_boundary():
         rec("p", datetime(2019, 1, 31, 23, 30, tzinfo=timezone.utc)),  # day 30.02
     ], DUMP)
     assert accs["x"].active_windows == frozenset({0, 1})
+
+
+def test_accumulate_one_warning_for_revisions_after_dump(caplog):
+    late = [RevisionRecord("p", f"r{i}", ts(2021, 2, i), "x", False, False, False, 10 + i)
+            for i in range(1, 6)]
+    accs = accumulate([rec("p", ts(2020, 1, 1))] + late, DUMP)
+    assert accs["x"].edit_count == 6
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warnings] == [
+        "5 revision(s) after the dump instant 2021-01-15T00:00:00+00:00, the first r1"]
 
 
 def test_accumulate_counts():
