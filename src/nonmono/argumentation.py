@@ -6,9 +6,13 @@ become rebuttal attacks directly between the two forecast arguments).
 Layer 3 elicits the per-editor sub-framework from the editor's crisp
 valuation, the one the expert engine retracts over (an argument is active
 when its rule activated, or when its premises hold), optionally filtering
-attacks by argument strength.  Layer 4 computes acceptance (grounded,
-complete, preferred, stable labellings, or categoriser scores).  Layer 5
-accrues the accepted forecast-argument values into one scalar.
+attacks by argument strength.  It reads the framework's arguments indexed
+by rule or premises and its attacks indexed by source, each attack with
+its static strength filter, so it visits only what activated.  Layer 4
+computes acceptance (grounded, complete, preferred, stable labellings, or
+categoriser scores); the complete labellings are searched over integer
+masks of the grounded-undecided region.  Layer 5 accrues the accepted
+forecast-argument values into one scalar.
 """
 from __future__ import annotations
 
@@ -49,6 +53,12 @@ class Argument:
 class ArgumentationFramework:
     arguments: dict[str, Argument]
     attacks: tuple[tuple[str, str], ...]
+
+    @cached_property
+    def index(self) -> FrameworkIndex:
+        """``index_framework(self)``, built on first read: what
+        ``elicit_subaf`` reads of a whole knowledge base's framework."""
+        return index_framework(self)
 
     @cached_property
     def grounded_labelling(self) -> Labelling:
@@ -114,26 +124,45 @@ def build_af(kb: KnowledgeBase) -> ArgumentationFramework:
     return ArgumentationFramework(args, tuple(attacks))
 
 
+# A framework's arguments by antecedent, a rule label or premises, each as
+# (position in ``arguments``, label); and its attacks between arguments by
+# source, each as (position in ``attacks``, target, whether the source is
+# at least as strong as the target).
+FrameworkIndex = tuple[dict[str | Dnf, tuple[tuple[int, str], ...]],
+                       dict[str, tuple[tuple[int, str, bool], ...]]]
+
+
+def index_framework(af: ArgumentationFramework) -> FrameworkIndex:
+    """The arguments of ``af`` by antecedent and its attacks by source."""
+    args = af.arguments
+    by_antecedent: dict = {}
+    for i, (label, arg) in enumerate(args.items()):
+        by_antecedent.setdefault(arg.premises if arg.rule is None else arg.rule, []).append(
+            (i, label))
+    by_source: dict = {}
+    for i, (src, tgt) in enumerate(af.attacks):
+        if src in args and tgt in args:
+            by_source.setdefault(src, []).append(
+                (i, tgt, args[src].strength >= args[tgt].strength))
+    return ({k: tuple(v) for k, v in by_antecedent.items()},
+            {k: tuple(v) for k, v in by_source.items()})
+
+
 def elicit_subaf(af: ArgumentationFramework, valuation: expert.Valuation,
                  use_strength: bool = False) -> ArgumentationFramework:
     """Sub-framework of the arguments active under the editor's crisp
     valuation: an argument with a rule is active when that rule activated,
     one without when its premises hold.  An attack survives when both
     endpoints are active and, under strength filtering, the source is at
-    least as strong as the target."""
-    activated, holding = valuation
-    active = {
-        label: arg for label, arg in af.arguments.items()
-        if (arg.premises in holding if arg.rule is None else arg.rule in activated)
-    }
-    attacks = []
-    for src, tgt in af.attacks:
-        if src not in active or tgt not in active:
-            continue
-        if use_strength and active[src].strength < active[tgt].strength:
-            continue
-        attacks.append((src, tgt))
-    return ArgumentationFramework(active, tuple(attacks))
+    least as strong as the target.  Arguments and attacks are looked up in
+    ``af.index`` and keep their order in ``af``."""
+    by_antecedent, by_source = af.index
+    positions = sorted(entry for antecedent in (*valuation.activated, *valuation.holding)
+                       for entry in by_antecedent.get(antecedent, ()))
+    active = {label: af.arguments[label] for _i, label in positions}
+    kept = sorted(i for src in active for i, tgt, strong in by_source.get(src, ())
+                  if tgt in active and (strong or not use_strength))
+    return ArgumentationFramework(active, tuple(af.attacks[i] for i in kept))
 
 
 def grounded(af: ArgumentationFramework) -> Labelling:
@@ -200,43 +229,51 @@ def _region_labellings(af: ArgumentationFramework, base: dict[str, str],
     attacking itself, attacked by a chosen one or attacking one.  A subset
     is kept when every chosen argument has all its region attackers OUT and
     every UNDEC argument has an UNDEC attacker.  Labellings come sorted by
-    their labels over the region, IN before OUT before UNDEC.
+    their labels over the region, IN before OUT before UNDEC.  Sets of
+    region arguments are integer masks, bit i standing for ``region[i]``.
     """
     # attackers outside the region are grounded-out and decide nothing here
-    attackers = {a: set() for a in region}
-    targets = {a: set() for a in region}
+    index = {a: i for i, a in enumerate(region)}
+    attackers = [0] * len(region)
+    targets = [0] * len(region)
     for src, tgt in af.attacks:
-        if src in attackers and tgt in attackers:
-            attackers[tgt].add(src)
-            targets[src].add(tgt)
-    region_set = frozenset(region)
+        if src in index and tgt in index:
+            attackers[index[tgt]] |= 1 << index[src]
+            targets[index[src]] |= 1 << index[tgt]
+    everything = (1 << len(region)) - 1
     kept: list[tuple[tuple[int, ...], dict[str, str]]] = []
-    rank = {IN: 0, OUT: 1, UNDEC: 2}
 
-    def leaf(in_set: list[str]) -> None:
-        out = set().union(*(targets[a] for a in in_set))
-        if any(not attackers[a] <= out for a in in_set):
+    def leaf(chosen: int, out: int, needed: int) -> None:
+        # ``needed`` holds the attackers of the chosen arguments
+        if needed & ~out:
             return
-        undec = region_set - out - set(in_set)
-        if any(attackers[a].isdisjoint(undec) for a in undec):
+        undec = everything & ~out & ~chosen
+        if any(undec >> i & 1 and not attackers[i] & undec for i in range(len(region))):
             return
         labels = dict(base)
-        labels.update({a: OUT for a in out})
-        labels.update({a: IN for a in in_set})
-        kept.append((tuple(rank[labels[a]] for a in region), labels))
+        ranks = []
+        for i, a in enumerate(region):
+            if chosen >> i & 1:
+                labels[a] = IN
+                ranks.append(0)
+            elif out >> i & 1:
+                labels[a] = OUT
+                ranks.append(1)
+            else:
+                ranks.append(2)
+        kept.append((tuple(ranks), labels))
 
-    def search(i: int, in_set: list[str], blocked: frozenset[str]) -> None:
+    def search(i: int, chosen: int, out: int, needed: int, blocked: int) -> None:
         if i == len(region):
-            leaf(in_set)
+            leaf(chosen, out, needed)
             return
-        a = region[i]
-        if a not in blocked and a not in attackers[a]:
-            in_set.append(a)
-            search(i + 1, in_set, blocked | targets[a] | attackers[a])
-            in_set.pop()
-        search(i + 1, in_set, blocked)
+        b = 1 << i
+        if not (blocked | attackers[i]) & b:
+            search(i + 1, chosen | b, out | targets[i], needed | attackers[i],
+                   blocked | targets[i] | attackers[i])
+        search(i + 1, chosen, out, needed, blocked)
 
-    search(0, [], frozenset())
+    search(0, 0, 0, 0, 0)
     kept.sort(key=lambda k: k[0])
     return [Labelling(labels) for _key, labels in kept]
 
@@ -310,7 +347,7 @@ def accrue_extensions(subaf: ArgumentationFramework, labellings: list[Labelling]
         return None
     sizes = [len(l.in_set()) for l in labellings]
     top = max(sizes)
-    trusts = []
+    groups = []
     for l, size in zip(labellings, sizes):
         if size != top:
             continue
@@ -320,9 +357,10 @@ def accrue_extensions(subaf: ArgumentationFramework, labellings: list[Labelling]
             if subaf.arguments[a].kind == "forecast"
         ]
         if pairs:
-            trusts.append(expert.mean(pairs, weighted))
-    if not trusts:
+            groups.append(pairs)
+    if not groups:
         return None
+    trusts = expert.means(groups, weighted)
     return sum(trusts) / len(trusts)
 
 
@@ -339,7 +377,7 @@ def accrue_categoriser(subaf: ArgumentationFramework, scores: dict[str, float],
         for a in sorted(forecast)
         if scores[a] >= best - CAT_TIE_EPS
     ]
-    return expert.mean(pairs, weighted)
+    return expert.means([pairs], weighted)[0]
 
 
 def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
@@ -390,6 +428,6 @@ def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
     top = sorted(a for a, arg in subaf.arguments.items()
                  if arg.kind == "forecast" and a not in attacked)
     if top:
-        return expert.mean([(values[a], subaf.arguments[a].strength) for a in top],
-                           use_strength)
+        return expert.means([[(values[a], subaf.arguments[a].strength) for a in top]],
+                            use_strength)[0]
     return accrue_categoriser(subaf, categoriser(subaf), values, weighted=use_strength)

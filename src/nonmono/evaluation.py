@@ -160,20 +160,28 @@ def baseline_feature_average(features: Sequence[EditorFeatures]) -> dict[str, fl
 BY_INPUT = None
 
 # The editor's crisp valuation of a KB, which the expert and argumentation
-# chains both start from.
-_VALUATION = (("kb_id",), lambda kb, _c, vec, _prev: expert.valuation(kb, vec))
+# chains both start from: the activated rules, keyed on the KB's interned
+# rule table, so that KBs with equal rules share them, then the KB's own
+# contradiction premise truths.
+_VALUATION = (
+    (("rule_table",), lambda kb, _c, vec, _prev: expert.activate_rules(kb, vec)),
+    (("kb_id",), lambda kb, _c, vec, activated: expert.valuation(kb, vec, activated)),
+)
 
 # Each engine's per-editor pipeline as a chain of stages.  A stage reads the
-# model fields it names and the previous stage's result.  Its sharing key is
-# every stage up to and including it, each with the values of the fields it
-# names, so the models whose keys agree share that stage's result for an
-# editor, and a stage listed in two chains is shared across engines.  A
-# stage that names BY_INPUT is keyed on its input instead: its key is the
-# stage and the previous stage's result, which must be hashable, and the
-# stages after it extend that key.  Per editor the 8 expert and 12
-# argumentation models value each KB once, the expert ones then retract
-# once per KB, and the argumentation ones elicit once per (KB, strength
-# filter).  The grounded and preferred models of one (KB, strength filter)
+# names it lists, each a model field or else an attribute of the model's
+# KB, and the previous stage's result.  Its sharing key is every stage up
+# to and including it, each with the values of the names it lists, so the
+# models whose keys agree share that stage's result for an editor, and a
+# stage listed in two chains is shared across engines.  A stage that names
+# BY_INPUT is keyed on its input instead: its key is the stage and the
+# previous stage's result, which must be hashable, and the stages after it
+# extend that key.  Per editor the 8 expert and 12 argumentation models
+# activate the rules once per distinct rule table (once for KB1 and KB2,
+# whose rules, terms, levels and weights are equal) and test each KB's
+# contradiction premises once, the expert ones then retract once per KB,
+# and the argumentation ones elicit once per (KB, strength filter).  The
+# grounded and preferred models of one (KB, strength filter)
 # read the same elicited sub-framework, whose grounded labelling is built
 # on its first read and then shared, so it is labelled once, and never by
 # the categoriser models; the preferred model searches further only where
@@ -183,7 +191,7 @@ _VALUATION = (("kb_id",), lambda kb, _c, vec, _prev: expert.valuation(kb, vec))
 # reached them, and defuzzify once per level truths and method.
 _STAGES = {
     "expert": (
-        _VALUATION,
+        *_VALUATION,
         ((), lambda kb, _c, _vec, val: expert.resolve_contradictions(kb, val)),
         (("heuristic",), lambda _kb, c, _vec, kept: expert.aggregate(kept[0], c.heuristic)),
     ),
@@ -198,7 +206,7 @@ _STAGES = {
         (("defuzz",), lambda _kb, c, _vec, agg: fuzzy.defuzzify(agg, c.defuzz)),
     ),
     "argumentation": (
-        _VALUATION,
+        *_VALUATION,
         (("use_strength",),
          lambda kb, c, _vec, val: argumentation.elicit(kb, val, c.use_strength)),
         (("semantics",), lambda _kb, c, _vec, elicited: argumentation.label_and_accrue(
@@ -211,7 +219,9 @@ _STAGES = {
 # is the trust, which ``explain`` adds itself.
 _DESCRIBE = {
     "expert": (
-        lambda _c, _prev, val: {"activated_rules": {r: a.value for r, a in val.activated.items()}},
+        lambda _c, _prev, activated: {
+            "activated_rules": {r: a.value for r, a in activated.items()}},
+        lambda _c, _prev, _val: {},
         lambda _c, _prev, kept: {"retracted": [{"rule": r, "by": by} for r, by in kept[1]],
                                  "surviving": [a.rule_label for a in kept[0]]},
         lambda _c, _prev, _trust: {},
@@ -224,6 +234,7 @@ _DESCRIBE = {
         lambda _c, _prev, _trust: {},
     ),
     "argumentation": (
+        lambda _c, _prev, _activated: {},
         lambda _c, _prev, _val: {},
         lambda _c, _prev, elicited: {
             "activated_arguments": sorted(elicited[0].arguments),
@@ -251,10 +262,12 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
     For each editor every distinct stage runs once and its result fans out
     to the models that share it.  A stage that raises gives NA to every
     model sharing it, with one ERROR per model naming model and editor: a
-    failed valuation of a KB gives NA to that KB's expert and argumentation
-    models, and for a stage keyed on its input, those are the models whose
-    chains reached that input.  An unknown engine raises ``ValueError``, and
-    a selected KB reading a feature that the feature vector lacks raises
+    failed rule activation gives NA to the expert and argumentation models
+    of every KB sharing that rule table (of both shipped KBs), a failed
+    premise valuation to those of its KB, and for a stage keyed on its
+    input, those are the models whose chains reached that input.  An
+    unknown engine raises ``ValueError``, and a selected KB reading a
+    feature that the feature vector lacks raises
     ``expert.MissingFeatureError``, before any editor is evaluated.  A
     ``steps`` mapping gets, in the list under each editor id it holds, each
     stage result the walk over that editor reads, or the exception of the
@@ -265,18 +278,20 @@ def _evaluate(selected: Sequence[ModelConfig], kb_set: Mapping[str, KnowledgeBas
         stages = _STAGES.get(config.engine)
         if stages is None:
             raise ValueError(f"model {config.id}: unknown engine {config.engine!r}")
+        kb = kb_set[config.kb_id]
         # a static key is whole; from a stage keyed on its input on, the key
         # holds only the stages since, and the walk over an editor prefixes
         # it with that stage and its input
         key: tuple = ()
         keyed = []
-        for fields, run in stages:
-            if fields is BY_INPUT:
+        for names, run in stages:
+            if names is BY_INPUT:
                 key = ()
             else:
-                key += (run, *(getattr(config, name) for name in fields))
-            keyed.append((key, run, fields is BY_INPUT))
-        chains.append((config, kb_set[config.kb_id], keyed))
+                key += (run, *(getattr(config if hasattr(config, name) else kb, name)
+                               for name in names))
+            keyed.append((key, run, names is BY_INPUT))
+        chains.append((config, kb, keyed))
     for kb_id in dict.fromkeys(config.kb_id for config in selected):
         for name in kb_set[kb_id].features:
             if name not in FEATURE_NAMES:
@@ -457,11 +472,13 @@ def run_matrix(
     none.  Every process then claims contiguous chunks of the other
     editors, about ``CHUNKS_PER_WORKER`` per process, off one shared counter
     until none are left, and runs every selected model over them.  The KB
-    structures and the fuzzy level sets, with their curves, that the
-    selected models read are built before the helpers start, which inherit
-    them.  No helper outlives the call, whether it returns or raises.  The
-    output, including its registry order, depends on neither ``jobs`` nor
-    which other models are selected.  One WARNING lists the models whose
+    structures (the crisp rule table and premise tests, the retraction and
+    elicitation indexes, the cap tables) and the fuzzy level sets, with
+    their curves, that the selected models read are built before the
+    helpers start, which inherit them.  No helper outlives the call,
+    whether it returns or raises.  The output, including its registry
+    order, depends on neither ``jobs`` nor which other models are
+    selected.  One WARNING lists the models whose
     rank or spread is undefined.
     """
     selected = select_models(model_filter)
@@ -473,8 +490,8 @@ def run_matrix(
                 _ = kb.cap_layers
                 fuzzy.level_set(kb, config.fmf_variant)
             else:
-                _ = kb.premise_antecedents, (
-                    kb.framework if config.engine == "argumentation" else kb.layers)
+                _ = kb.rule_table, kb.premise_table, (
+                    kb.framework.index if config.engine == "argumentation" else kb.layer_index)
         # the first editor, alone, predicts what the rest will cost; the
         # k-th helper takes about predicted / (k * (k + 1)) off this process
         start = time.perf_counter()

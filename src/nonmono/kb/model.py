@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..argumentation import ArgumentationFramework
+    from ..expert import CrispDnf, LayerIndex, RuleTable
     from ..fuzzy import CapLayer, LevelSet
 
 __all__ = [
@@ -110,9 +111,10 @@ class LinguisticTerm:
     """A named numeric range of a feature, e.g. ``medium_high = [10, 19]``.
 
     ``upper`` may be a saturation bound standing in for an unbounded range;
-    ``saturated`` records that.  ``fmfs`` maps variant name (``triangular`` /
-    ``gaussian``) to a membership function; terms modelled with a single
-    function store it under its shape family and serve it for any variant.
+    ``saturated`` records that, and crisp membership is then unbounded
+    above.  ``fmfs`` maps variant name (``triangular`` / ``gaussian``) to a
+    membership function; terms modelled with a single function store it
+    under its shape family and serve it for any variant.
     """
 
     label: str
@@ -129,12 +131,6 @@ class LinguisticTerm:
 
     def fmf(self, variant: str | None = None) -> Fmf:
         return _select_fmf(self.fmfs, variant, "term", self.label)
-
-    def contains(self, value: float) -> bool:
-        """Crisp range membership; saturated terms are unbounded above."""
-        if self.saturated:
-            return value >= self.lower
-        return self.lower <= value <= self.upper
 
 
 @dataclass(frozen=True)
@@ -215,10 +211,10 @@ class Contradiction:
 @dataclass(frozen=True)
 class KnowledgeBase:
     """Features, trust levels, rules and contradictions.  The structures
-    derived from them (distinct contradiction premises, contradiction layers,
-    their possibilistic cap tables, fuzzy level sets, argumentation
-    framework, rule weights) are built on first use and kept with the
-    knowledge base."""
+    derived from them (the crisp rule table and contradiction premise tests,
+    contradiction layers, their retraction indexes and possibilistic cap
+    tables, fuzzy level sets, argumentation framework, rule weights) are
+    built on first use and kept with the knowledge base."""
 
     id: str
     features: dict[str, Feature]
@@ -280,14 +276,33 @@ class KnowledgeBase:
         return {(name, t.label): t for name, f in self.features.items() for t in f.terms}
 
     @cached_property
-    def premise_antecedents(self) -> tuple[Dnf, ...]:
-        """The distinct premise antecedents of the contradictions."""
-        return tuple(dict.fromkeys(
-            c.premises for c in self.contradictions.values() if c.premises is not None))
+    def rule_table(self) -> RuleTable:
+        """The rules compiled for crisp activation, shared by identity with
+        every knowledge base whose rules, terms, levels and weights are
+        equal."""
+        from .. import expert  # expert imports this module
+
+        return expert.compile_rules(self)
+
+    @cached_property
+    def premise_table(self) -> tuple[tuple[Dnf, CrispDnf], ...]:
+        """The distinct premise antecedents of the contradictions, each with
+        its crisp test."""
+        from .. import expert
+
+        return expert.compile_premises(self)
 
     @cached_property
     def layers(self) -> tuple[tuple[Contradiction, ...], ...]:
         return contradiction_graph(self)
+
+    @cached_property
+    def layer_index(self) -> tuple[LayerIndex, ...]:
+        """Each layer's contradictions indexed for retraction by antecedent
+        and target."""
+        from .. import expert
+
+        return expert.index_layers(self)
 
     @cached_property
     def cap_layers(self) -> tuple[CapLayer, ...]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nonmono import fuzzy
+from nonmono import expert, fuzzy
 from nonmono.ingest import extract_features, read_barnstars
 from nonmono.kb import load_builtin, parse_kb
 
@@ -76,6 +76,12 @@ contradiction A: IF f is on THEN NOT rule S, B
 contradiction B: IF rule R THEN NOT rule T
 """
     return parse_kb(src).kb
+
+
+def crisp_valuation(kb, features) -> expert.Valuation:
+    """An editor's crisp valuation of ``kb`` as the evaluation plan builds
+    it: the activated rules, then the premise truths."""
+    return expert.valuation(kb, features, expert.activate_rules(kb, features))
 
 
 def attackers_of(af) -> dict[str, tuple[str, ...]]:

@@ -6,7 +6,7 @@ import time
 
 
 import reference_impl as ref
-from conftest import GOLDEN
+from conftest import GOLDEN, crisp_valuation
 from nonmono import argumentation as arg
 from nonmono import expert, fuzzy
 from nonmono.cli import main
@@ -119,10 +119,10 @@ def test_criterion_6_cross_engine_oracle(kb1, feature_vectors):
     bare = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels, kb1.rules, {})
     worst = 0.0
     for fv in feature_vectors.values():
-        survivors, _discarded = expert.resolve_contradictions(bare, expert.valuation(bare, fv))
+        survivors, _discarded = expert.resolve_contradictions(bare, crisp_valuation(bare, fv))
         h3 = expert.aggregate(survivors, "h3")
         for semantics in ("grounded", "preferred", "categoriser", "stable"):
-            out = arg.label_and_accrue(*arg.elicit(bare, expert.valuation(bare, fv), False),
+            out = arg.label_and_accrue(*arg.elicit(bare, crisp_valuation(bare, fv), False),
                                        semantics, False)
             worst = max(worst, abs(out - h3))
     report(6, worst <= 1e-12,

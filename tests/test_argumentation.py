@@ -7,7 +7,7 @@ import traceback
 
 import pytest
 
-from conftest import attackers_of
+from conftest import attackers_of, crisp_valuation
 from nonmono import argumentation as arg
 from nonmono import expert
 from nonmono.kb import parse_kb
@@ -84,7 +84,7 @@ rule B: IF f is on THEN trust is low
 """
     kb = parse_kb(src).kb
     af = toy_af({"A": 5, "B": 3}, [("A", "B"), ("B", "A")])
-    valuation = expert.valuation(kb, src_feats)
+    valuation = crisp_valuation(kb, src_feats)
     kept = arg.elicit_subaf(af, valuation, use_strength=True)
     assert ("A", "B") in kept.attacks
     assert ("B", "A") not in kept.attacks
@@ -96,7 +96,7 @@ def test_elicit_drops_inactive_endpoints(kb1):
     fv = dict(pages=1, activity=1, anonymous=1, not_minor=0.5, comments=0.1,
               presence=0.5, frequency=0.5, regularity=0.5, bytes=50)
     af = arg.build_af(kb1)
-    sub = arg.elicit_subaf(af, expert.valuation(kb1, fv))
+    sub = arg.elicit_subaf(af, crisp_valuation(kb1, fv))
     # CC17 attacks C4; C4 inactive here, so the attack must be gone
     assert "CC17" in sub.arguments
     assert all(t != "C4" for _s, t in sub.attacks)
@@ -116,7 +116,7 @@ rule C: IF f is on THEN trust is low
     attacks = [("A", "B"), ("B", "C"), ("C", "A"), ("B", "A")]
     base = toy_af({"A": 1, "B": 4, "C": 2}, attacks)
     scaled = toy_af({"A": 3, "B": 12, "C": 6}, attacks)
-    valuation = expert.valuation(kb, {"f": 0.5})
+    valuation = crisp_valuation(kb, {"f": 0.5})
     kept_base = arg.elicit_subaf(base, valuation, use_strength=True).attacks
     kept_scaled = arg.elicit_subaf(scaled, valuation, use_strength=True).attacks
     assert kept_base == kept_scaled
@@ -321,7 +321,7 @@ def _fixture_subafs(kbs, feature_vectors):
     for kb in kbs:
         for fv in feature_vectors.values():
             for use_strength in (False, True):
-                yield arg.elicit_subaf(kb.framework, expert.valuation(kb, fv), use_strength)
+                yield arg.elicit_subaf(kb.framework, crisp_valuation(kb, fv), use_strength)
 
 
 def test_categoriser_matches_dict_jacobi(kb1, kb2, feature_vectors):
@@ -397,7 +397,7 @@ def _categoriser_cases(kb1, kb2, feature_vectors):
                *_boundary_vectors(120, (kb1, kb2))]
     for kb in (kb1, kb2):
         for fv in vectors:
-            valuation = expert.valuation(kb, fv)
+            valuation = crisp_valuation(kb, fv)
             for use_strength in (False, True):
                 yield (*arg.elicit(kb, valuation, use_strength), use_strength)
 
@@ -449,10 +449,12 @@ def test_accrue_weighted_by_strength():
     ("grounded", []),
     ("categoriser", []),
     ("categoriser", [("A", "B"), ("B", "A")]),
+    ("preferred", [("A", "B"), ("B", "A")]),
 ])
 def test_weighted_accrual_zero_strength_falls_back(caplog, semantics, attacks):
-    # the extension accrual, the unattacked-forecast shortcut and the
-    # categoriser accrual over arguments of total strength 0
+    # the extension accrual, over one extension and over two tied ones, the
+    # unattacked-forecast shortcut and the categoriser accrual over
+    # arguments of total strength 0: one WARNING per accrual
     af = toy_af({"A": 0, "B": 0}, attacks)
     trust = arg.label_and_accrue(af, {"A": 0.2, "B": 0.8}, semantics, True)
     assert trust == pytest.approx(0.5)
@@ -468,11 +470,11 @@ def test_binary_accrual_matches_expert_h3(kb1, kb2, feature_vectors):
     for kb in (kb1, kb2):
         bare = KnowledgeBase(kb.id, kb.features, kb.trust_levels, kb.rules, {})
         for fv in feature_vectors.values():
-            survivors, _discarded = expert.resolve_contradictions(bare, expert.valuation(bare, fv))
+            survivors, _discarded = expert.resolve_contradictions(bare, crisp_valuation(bare, fv))
             h3 = expert.aggregate(survivors, "h3")
             for semantics in ("grounded", "preferred", "categoriser", "stable"):
                 out = arg.label_and_accrue(
-                    *arg.elicit(bare, expert.valuation(bare, fv), False), semantics, False)
+                    *arg.elicit(bare, crisp_valuation(bare, fv), False), semantics, False)
                 assert out == pytest.approx(h3, abs=1e-12)
 
 
@@ -484,7 +486,7 @@ def test_grounded_in_forecast_vs_expert_survivors(kb1, kb2, feature_vectors):
     for kb, exact in ((kb1, True), (kb2, False)):
         af = arg.build_af(kb)
         for fv in feature_vectors.values():
-            valuation = expert.valuation(kb, fv)
+            valuation = crisp_valuation(kb, fv)
             survivors = {r.rule_label for r in expert.resolve_contradictions(kb, valuation)[0]}
             sub = arg.elicit_subaf(af, valuation)
             lab = arg.grounded(sub)

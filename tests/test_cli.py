@@ -8,7 +8,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, crisp_valuation
 from nonmono import argumentation, evaluation, expert, fuzzy
 from nonmono.cli import main
 from nonmono.evaluation import MODEL_REGISTRY, read_results_csv, read_trust_csv
@@ -186,7 +186,7 @@ def test_infer_explain_trust_matches_csv(model, features_csv, tmp_path, capsys):
         features = next(f for f in read_features_csv(str(features_csv))
                         if f.editor_id == "10.1.2.3")
         subaf, _values = argumentation.elicit(
-            kb, expert.valuation(kb, features.as_dict()), config.use_strength)
+            kb, crisp_valuation(kb, features.as_dict()), config.use_strength)
         scores = argumentation.categoriser(subaf)
         assert trace["scores"] == {a: scores[a] for a in sorted(scores)}
 
@@ -201,6 +201,8 @@ class StageFailure(RuntimeError):
     ("A8", argumentation, "label_and_accrue",
      ["activated_arguments", "kept_attacks", "forecast_values"]),
     ("A7", expert, "valuation", []),
+    # the rule activation is a stage of its own, before the premise valuation
+    ("E5", expert, "valuation", ["activated_rules"]),
 ])
 def test_infer_explain_shows_the_failed_stage(model, module, stage, shown, features_csv,
                                               tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import reference_impl as ref
-from conftest import curve
+from conftest import crisp_valuation, curve
 from nonmono import argumentation, evaluation, expert, fuzzy
 from nonmono.evaluation import (
     MODEL_REGISTRY,
@@ -166,7 +166,7 @@ def test_run_matrix_single_model_oracle(kb1, kb2, fixture_features, barnstars):
     assert config.id == "E3"
     trust = {
         f.editor_id: expert.aggregate(
-            expert.resolve_contradictions(kb1, expert.valuation(kb1, f.as_dict()))[0], "h3")
+            expert.resolve_contradictions(kb1, crisp_valuation(kb1, f.as_dict()))[0], "h3")
         for f in fixture_features
     }
     direct = metric_triple(trust, barnstars)
@@ -406,23 +406,34 @@ def _fresh_kbs():
 
 
 def _count_builds(monkeypatch, parent_only=False):
-    """Count contradiction-graph and framework builds per (structure, KB id).
+    """Count the builds of each structure a KB derives on first use per
+    (structure, KB id), the framework index under its framework's KB.
     With ``parent_only`` a build in any other process raises."""
     from nonmono.kb import model
 
     builds = Counter()
     parent = os.getpid()
+    kb_of_framework = {}
 
-    def counted(name, real):
-        def build(kb):
+    def counted(name, real, kb_id=lambda kb: kb.id):
+        def build(of):
             if parent_only and os.getpid() != parent:
-                raise RuntimeError(f"{name} of {kb.id} built in a worker")
-            builds[name, kb.id] += 1
-            return real(kb)
+                raise RuntimeError(f"{name} of {kb_id(of)} built in a worker")
+            builds[name, kb_id(of)] += 1
+            built = real(of)
+            if name == "framework":
+                kb_of_framework[id(built)] = of.id
+            return built
         return build
 
     monkeypatch.setattr(model, "contradiction_graph", counted("graph", model.contradiction_graph))
-    monkeypatch.setattr(argumentation, "build_af", counted("framework", argumentation.build_af))
+    for name, module, function in (("rules", expert, "compile_rules"),
+                                   ("premises", expert, "compile_premises"),
+                                   ("layer index", expert, "index_layers"),
+                                   ("framework", argumentation, "build_af")):
+        monkeypatch.setattr(module, function, counted(name, getattr(module, function)))
+    monkeypatch.setattr(argumentation, "index_framework", counted(
+        "framework index", argumentation.index_framework, lambda af: kb_of_framework[id(af)]))
     return builds
 
 
@@ -435,14 +446,24 @@ def test_each_kb_builds_its_structures_once(fixture_features, barnstars, monkeyp
         run_model(MODEL_REGISTRY[mid], kb_set["KB1"], fixture_features)
     run_model(MODEL_REGISTRY["A3"], kb_set["KB1"], fixture_features[:1],
               {fixture_features[0].editor_id: []})
-    assert builds == {(name, kb_id): 1 for name in ("graph", "framework") for kb_id in kb_set}
+    assert builds == {(name, kb_id): 1 for kb_id in kb_set
+                      for name in ("rules", "premises", "graph", "layer index", "framework",
+                                   "framework index")}
 
 
 def test_fuzzy_and_expert_selection_builds_no_framework(fixture_features, barnstars,
                                                         monkeypatch):
     builds = _count_builds(monkeypatch)
     run_matrix(_fresh_kbs(), fixture_features, barnstars, ["FL1", "E1"], jobs=1)
-    assert builds == {("graph", "KB1"): 1}
+    assert builds == {(name, "KB1"): 1 for name in ("rules", "premises", "graph", "layer index")}
+
+
+# What E1 (KB1 expert), FL13 (KB2 fuzzy) and A7 (KB2 argumentation) read:
+# the rule table and premise tests of both KBs, KB1's retraction index,
+# both KBs' layers, and KB2's framework and its elicitation index.
+BUILT_FOR_E1_FL13_A7 = {
+    **{(name, kb_id): 1 for name in ("rules", "premises", "graph") for kb_id in ("KB1", "KB2")},
+    ("layer index", "KB1"): 1, ("framework", "KB2"): 1, ("framework index", "KB2"): 1}
 
 
 def test_pooled_run_builds_structures_before_the_workers_start(fixture_features, barnstars,
@@ -455,15 +476,15 @@ def test_pooled_run_builds_structures_before_the_workers_start(fixture_features,
     assert len(pids()) == 2
     # a structure built in a helper raises there, which would turn into NA
     assert pooled == serial
-    assert builds == {("graph", "KB1"): 1, ("graph", "KB2"): 1, ("framework", "KB2"): 1}
+    assert builds == BUILT_FOR_E1_FL13_A7
 
 
 def test_pooled_run_builds_structures_when_the_first_editor_fails(fixture_features, barnstars,
                                                                   monkeypatch, tmp_path):
-    # a failed valuation of the first editor leaves the layers and the
-    # framework unread by the first-editor probe
-    first, real = fixture_features[0].as_dict(), expert.valuation
-    monkeypatch.setattr(expert, "valuation",
+    # a failed rule activation of the first editor leaves the premise tests,
+    # the retraction index and the framework unread by the first-editor probe
+    first, real = fixture_features[0].as_dict(), expert.activate_rules
+    monkeypatch.setattr(expert, "activate_rules",
                         lambda kb, vec: real(kb, {} if vec == first else vec))
     models = ["E1", "FL13", "A7"]
     serial = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=1)
@@ -473,7 +494,7 @@ def test_pooled_run_builds_structures_when_the_first_editor_fails(fixture_featur
     pooled = _trust_of_run(monkeypatch, _fresh_kbs(), fixture_features, barnstars, models, jobs=2)
     assert len(pids()) == 2
     assert pooled == serial
-    assert builds == {("graph", "KB1"): 1, ("graph", "KB2"): 1, ("framework", "KB2"): 1}
+    assert builds == BUILT_FOR_E1_FL13_A7
 
 
 def test_pooled_run_builds_level_curves_before_the_workers_start(fixture_features, barnstars):
@@ -539,11 +560,13 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
     distinct = [len(set(_walked_level_truths(kb_set, f.as_dict()).values())) for f in editors]
     # the editors between them reach shared and unshared level truths
     assert min(distinct) < 24 and len(set(distinct)) > 1
-    # each distinct rule antecedent and contradiction premise of each KB, walked
-    # once per editor by the valuation the expert and argumentation models share
-    antecedents = sum(len({r.antecedent for r in kb.rules.values()}
-                          | {c.premises for c in kb.contradictions.values() if c.premises})
-                      for kb in kb_set.values())
+    # KB1 and KB2 share one rule table, whose rules are activated once per
+    # editor; each distinct contradiction premise antecedent of each KB is
+    # tested once: 29 + 3 + 0 crisp walks
+    assert kb1.rule_table is kb2.rule_table
+    walks = len(kb1.rules) + sum(len({c.premises for c in kb.contradictions.values()
+                                      if c.premises}) for kb in kb_set.values())
+    assert walks == 32
     # a preferred model searches its sub-framework's grounded-undecided
     # region only when the region holds an argument; the reference's own
     # elicitation and fixpoint grounded labelling count those, one
@@ -557,7 +580,7 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
     for module, name in ((fuzzy, "fuzzify"), (fuzzy, "resolve_possibility"),
                          (fuzzy, "aggregate_levels"), (fuzzy, "defuzzify"),
                          (expert, "valuation"), (expert, "activate_rules"),
-                         (expert, "evaluate_antecedent"), (argumentation, "elicit_subaf"),
+                         (expert, "activation"), (argumentation, "elicit_subaf"),
                          (argumentation, "grounded"), (argumentation, "_region_labellings")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -569,8 +592,8 @@ def test_matrix_shares_stages_per_editor(kb1, kb2, fixture_features, barnstars, 
         # one grounded labelling per sub-framework, which its grounded and
         # preferred models share
         want = {"fuzzify": 4, "resolve_possibility": 12, "aggregate_levels": n,
-                "defuzzify": 2 * n, "valuation": 2, "activate_rules": 2,
-                "evaluate_antecedent": antecedents, "elicit_subaf": 4, "grounded": 4}
+                "defuzzify": 2 * n, "valuation": 2, "activate_rules": 1,
+                "activation": walks, "elicit_subaf": 4, "grounded": 4}
         if regions:
             want["_region_labellings"] = regions
         assert calls == want, editor
@@ -712,19 +735,19 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
         return real_fuzzify(features, kb, variant)
 
     # the victim's KB1 valuation is no other editor's
-    victim_valuation = real_valuation(kb1, victim.as_dict())
+    victim_valuation = crisp_valuation(kb1, victim.as_dict())
     assert [f for f in fixture_features
-            if real_valuation(kb1, f.as_dict()) == victim_valuation] == [victim]
+            if crisp_valuation(kb1, f.as_dict()) == victim_valuation] == [victim]
 
     def elicit(kb, valuation, use_strength):
         if valuation == victim_valuation and kb is kb1 and use_strength:
             raise RuntimeError("elicit boom")
         return real_elicit(kb, valuation, use_strength)
 
-    def valuation(kb, features):
+    def valuation(kb, features, activated):
         if features == victim.as_dict() and kb is kb2:
             raise RuntimeError("valuation boom")
-        return real_valuation(kb, features)
+        return real_valuation(kb, features, activated)
 
     monkeypatch.setattr(fuzzy, "fuzzify", fuzzify)
     monkeypatch.setattr(argumentation, "elicit", elicit)
@@ -733,7 +756,7 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
     with caplog.at_level(logging.ERROR, logger="nonmono"):
         broken = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
     # FC13-FC24 are the gaussian KB2 models; A4-A6 the strength-filtered KB1
-    # ones; E5-E8 and A7-A12 the KB2 models that share its valuation
+    # ones; E5-E8 and A7-A12 the KB2 models that share its premise valuation
     failed = [(mid, victim.editor_id) for mid in
               [f"FC{i}" for i in range(13, 25)] + ["A4", "A5", "A6"]
               + [f"E{i}" for i in range(5, 9)] + [f"A{i}" for i in range(7, 13)]] + reached
@@ -743,6 +766,63 @@ def test_failing_stage_gives_na_to_the_models_sharing_it(kb1, kb2, fixture_featu
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert sorted(errors) == sorted(
         f"model {mid} failed for editor {editor}; recording NA" for mid, editor in failed)
+
+
+def test_failed_activation_gives_na_to_both_kbs_crisp_models(kb1, kb2, fixture_features,
+                                                             barnstars, monkeypatch, caplog):
+    # KB1 and KB2 share one rule table, so one activation per editor feeds
+    # the expert and argumentation models of both
+    kb_set = {"KB1": kb1, "KB2": kb2}
+    clean = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
+    victim, real = fixture_features[1], expert.activate_rules
+    calls = []
+
+    def activate_rules(kb, features):
+        if features == victim.as_dict():
+            calls.append(kb.id)
+            raise RuntimeError("activation boom")
+        return real(kb, features)
+
+    monkeypatch.setattr(expert, "activate_rules", activate_rules)
+    with caplog.at_level(logging.ERROR, logger="nonmono"):
+        broken = _trust_of_run(monkeypatch, kb_set, fixture_features, barnstars, jobs=1)
+    assert len(calls) == 1
+    crisp = [mid for mid, config in MODEL_REGISTRY.items() if config.engine != "fuzzy"]
+    assert len(crisp) == 20
+    for mid, trust in clean.items():
+        assert broken[mid] == (dict(trust, **{victim.editor_id: None}) if mid in crisp
+                               else trust), mid
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert sorted(errors) == sorted(
+        f"model {mid} failed for editor {victim.editor_id}; recording NA" for mid in crisp)
+
+
+@pytest.mark.parametrize("change", ["term bound", "feature weight"])
+def test_changed_rule_base_shares_no_activation(kb2, fixture_features, monkeypatch, change):
+    feature = kb2.features["comments"]
+    low, *others = feature.terms
+    if change == "term bound":
+        feature = dataclasses.replace(
+            feature, terms=(dataclasses.replace(low, upper=0.2499), *others))
+    else:
+        feature = dataclasses.replace(feature, weight=feature.weight + 1)
+    changed = dataclasses.replace(kb2, id="KB2x", features=dict(kb2.features, comments=feature))
+    models = [MODEL_REGISTRY["E6"], MODEL_REGISTRY["A7"]]
+    models += [dataclasses.replace(config, id=f"X{config.id}", kb_id="KB2x") for config in models]
+    calls = []
+    real = expert.activate_rules
+    monkeypatch.setattr(expert, "activate_rules",
+                        lambda kb, features: calls.append(kb.id) or real(kb, features))
+    editors = fixture_features[:4]
+    for copy, per_editor in ((dataclasses.replace(kb2, id="KB2x"), 1), (changed, 2)):
+        calls.clear()
+        trust = evaluation._evaluate(models, {"KB2": kb2, "KB2x": copy}, editors)
+        # a copy with equal rules, terms, levels and weights shares every activation
+        assert len(calls) == per_editor * len(editors)
+        assert (copy.rule_table is kb2.rule_table) == (per_editor == 1)
+        for config in models:
+            kb = kb2 if config.kb_id == "KB2" else copy
+            assert repr(trust[config.id]) == repr(run_model(config, kb, editors))
 
 
 def test_undefined_metrics_warn_once_per_run(kb1, kb2, fixture_features, barnstars, caplog):

@@ -3,6 +3,7 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import crisp_valuation
 from nonmono import expert
 from nonmono.evaluation import MODEL_REGISTRY, run_model
 from nonmono.ingest import EditorFeatures
@@ -19,16 +20,26 @@ def vec(**overrides):
 
 
 def test_single_premise_activation(kb1):
-    rule = kb1.rules["C4"]
-    act = expert.evaluate_antecedent(rule.antecedent, vec(comments=0.8), kb1)
+    act = expert.activate_rules(kb1, vec(comments=0.8))["C4"].activation
     assert act == expert.Activation(v=0.8, r_min=0.75, r_max=1.0)
-    assert expert.evaluate_antecedent(rule.antecedent, vec(comments=0.5), kb1) is None
+    assert "C4" not in expert.activate_rules(kb1, vec(comments=0.5))
 
 
 def test_conjunction_takes_min(kb1):
     dnf = ((("comments", "low"), ("presence", "low")),)
-    act = expert.evaluate_antecedent(dnf, vec(comments=0.2, presence=0.05), kb1)
+    act = expert.activation(expert.crisp_dnf(kb1, dnf), vec(comments=0.2, presence=0.05))
     assert act.v == 0.05
+
+
+def test_disjunction_takes_max_of_each_quantity(kb1):
+    dnf = ((("comments", "low"), ("presence", "low")), (("pages", "high"),))
+    test = expert.crisp_dnf(kb1, dnf)
+    # pages is saturated above 40: the value is clamped to the bound
+    assert expert.activation(test, vec(comments=0.2, presence=0.05, pages=100)) == \
+        expert.Activation(v=40.0, r_min=20.0, r_max=40.0)
+    assert expert.activation(test, vec(comments=0.2, presence=0.05)) == \
+        expert.Activation(v=0.05, r_min=0.0, r_max=0.25)
+    assert expert.activation(test, vec(comments=0.3, presence=0.05)) is None
 
 
 def test_missing_feature_named(caplog):
@@ -75,14 +86,14 @@ def test_value_within_consequent_range(kb1, feature_vectors):
 
 def test_contradiction_discards_rule(kb1):
     fv = vec(not_minor=0.01, bytes=1000)  # NM1 and B1 both active
-    surviving, discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
+    surviving, discarded = expert.resolve_contradictions(kb1, crisp_valuation(kb1, fv))
     assert ("B1", "CC1") in discarded
     assert all(r.rule_label != "B1" for r in surviving)
 
 
 def test_no_contradictions_keeps_all(kb1):
     fv = vec(comments=0.8, bytes=1000)  # nothing anonymous, nothing flagged low
-    valuation = expert.valuation(kb1, fv)
+    valuation = crisp_valuation(kb1, fv)
     surviving, discarded = expert.resolve_contradictions(kb1, valuation)
     assert discarded == ()
     assert surviving == tuple(valuation.activated.values())
@@ -104,7 +115,7 @@ contradiction M: rule X MUTEX rule Y
 """
     kb = parse_kb(src).kb
     fv = {"f": 0.5, "g": 0.5}
-    surviving, discarded = expert.resolve_contradictions(kb, expert.valuation(kb, fv))
+    surviving, discarded = expert.resolve_contradictions(kb, crisp_valuation(kb, fv))
     assert surviving == ()
     assert expert.aggregate(surviving, "h3") is None
     assert {d[0] for d in discarded} == {"X", "Y"}
@@ -116,7 +127,7 @@ def test_snapshot_keeps_same_layer_antecedents(kb1):
     # survives
     fv = vec(anonymous=1, not_minor=0.6, comments=0.8, presence=0.3,
              frequency=0.1, regularity=0.1, activity=2, pages=1, bytes=50)
-    surviving, discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
+    surviving, discarded = expert.resolve_contradictions(kb1, crisp_valuation(kb1, fv))
     assert ("NM2", "CC28") in discarded
     assert any(r.rule_label == "P2" for r in surviving)
     assert all(d[1] != "OnlyAge.c" for d in discarded)
@@ -136,13 +147,13 @@ contradiction A: IF f is on THEN NOT contradiction B
 contradiction B: IF rule R THEN NOT rule S
 """
     kb = parse_kb(src).kb
-    surviving, _discarded = expert.resolve_contradictions(kb, expert.valuation(kb, {"f": 0.5}))
+    surviving, _discarded = expert.resolve_contradictions(kb, crisp_valuation(kb, {"f": 0.5}))
     assert {r.rule_label for r in surviving} == {"R", "S"}
 
 
 def test_mixed_targets_retract_rule_and_contradiction(mixed_kb):
     # A fires in layer 0: it retracts rule S and disarms B, so T survives
-    valuation = expert.valuation(mixed_kb, {"f": 0.3, "g": 0.9})
+    valuation = crisp_valuation(mixed_kb, {"f": 0.3, "g": 0.9})
     surviving, discarded = expert.resolve_contradictions(mixed_kb, valuation)
     assert discarded == (("S", "A"),)
     assert [r.rule_label for r in surviving] == ["R", "T"]
@@ -180,6 +191,15 @@ def test_aggregate_zero_weight_falls_back(caplog):
         "total weight is 0; falling back to unweighted mean"]
 
 
+def test_aggregate_zero_weight_warns_once_per_call(caplog):
+    # h2 takes one weighted mean per tied largest group, here two
+    rules = [mk_rule("R1", 0.2, "low", weight=0), mk_rule("R2", 0.8, "high", weight=0)]
+    assert expert.aggregate(rules, "h2") == pytest.approx(0.5)
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warnings] == [
+        "total weight is 0; falling back to unweighted mean"]
+
+
 def test_aggregate_empty_is_na():
     assert expert.aggregate([], "h1") is None
 
@@ -187,7 +207,7 @@ def test_aggregate_empty_is_na():
 def test_h3_equals_mean_without_contradictions(kb1, feature_vectors):
     # oracle: with no contradictions fired, h3 equals the plain mean of values
     for fv in feature_vectors.values():
-        surviving, discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
+        surviving, discarded = expert.resolve_contradictions(kb1, crisp_valuation(kb1, fv))
         if discarded:
             continue
         values = [r.value for r in surviving]
@@ -197,7 +217,7 @@ def test_h3_equals_mean_without_contradictions(kb1, feature_vectors):
 def test_trust_always_in_unit_interval(kb1, kb2, feature_vectors):
     for kb in (kb1, kb2):
         for fv in feature_vectors.values():
-            surviving, _discarded = expert.resolve_contradictions(kb, expert.valuation(kb, fv))
+            surviving, _discarded = expert.resolve_contradictions(kb, crisp_valuation(kb, fv))
             for h in expert.HEURISTICS:
                 trust = expert.aggregate(surviving, h)
                 assert trust is None or 0.0 <= trust <= 1.0
@@ -211,10 +231,10 @@ def test_layer_order_independence(kb1, feature_vectors):
 
     rng = random.Random(7)
     for fv in feature_vectors.values():
-        base, _discarded = expert.resolve_contradictions(kb1, expert.valuation(kb1, fv))
+        base, _discarded = expert.resolve_contradictions(kb1, crisp_valuation(kb1, fv))
         items = list(kb1.contradictions.items())
         rng.shuffle(items)
         shuffled = KnowledgeBase(kb1.id, kb1.features, kb1.trust_levels,
                                  kb1.rules, dict(items))
-        out, _discarded = expert.resolve_contradictions(shuffled, expert.valuation(shuffled, fv))
+        out, _discarded = expert.resolve_contradictions(shuffled, crisp_valuation(shuffled, fv))
         assert {r.rule_label for r in out} == {r.rule_label for r in base}

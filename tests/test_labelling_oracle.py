@@ -1,11 +1,14 @@
-"""The shared grounded labelling against the enumeration it replaced.
+"""The shared grounded labelling and the bitmask region search against the
+enumeration they replaced.
 
 Before each sub-framework kept one grounded labelling, read on first use,
 ``complete`` labelled the framework again on every call and searched the
 grounded-undecided region even when it was empty.  That ``complete``, and
 the ``preferred`` over it, are kept below, verbatim but for the module
 prefix, as the oracle; ``stable`` is unchanged and filters the oracle's
-complete labellings.  ``complete``, ``preferred`` and ``stable`` must equal
+complete labellings.  The region search, which now walks integer masks,
+is compared on its own with the string-set search it replaced, kept below
+verbatim, on seeded regions of up to 12 arguments.  ``complete``, ``preferred`` and ``stable`` must equal
 the oracle's, list order and each labelling's key order included, on the
 KB2 sub-frameworks of the differential test's boundary vectors (among them
 non-empty regions) and on seeded toy frameworks, whether or not the shared
@@ -17,8 +20,8 @@ import random
 
 import pytest
 
+from conftest import crisp_valuation
 from nonmono import argumentation as arg
-from nonmono import expert
 from nonmono.argumentation import (
     ENUMERATION_CAP,
     IN,
@@ -33,10 +36,13 @@ from test_differential import _boundary_vectors
 
 BOUNDARY_EDITORS = 60
 TOY_FRAMEWORKS = 300
+TOY_REGIONS = 400
 
 
 # ``complete`` and ``preferred`` before the shared labelling, verbatim but
-# for the module prefix of ``grounded``.
+# for the module prefix of ``grounded`` and for the search over the region,
+# which is the parent's string-set ``_region_labellings``, kept verbatim
+# below it and called here with the same arguments.
 
 def complete(af: ArgumentationFramework) -> list[Labelling]:
     """All complete labellings.
@@ -60,6 +66,20 @@ def complete(af: ArgumentationFramework) -> list[Labelling]:
             f"exact-enumeration cap of {ENUMERATION_CAP}; use grounded or "
             f"categoriser semantics"
         )
+    return _region_labellings(af, base, region)
+
+
+def _region_labellings(af: ArgumentationFramework, base: dict[str, str],
+                       region: list[str]) -> list[Labelling]:
+    """The complete labellings that extend the grounded labels ``base`` over
+    the sorted, non-empty undecided ``region``.
+
+    An include/exclude walk over the region never takes an argument
+    attacking itself, attacked by a chosen one or attacking one.  A subset
+    is kept when every chosen argument has all its region attackers OUT and
+    every UNDEC argument has an UNDEC attacker.  Labellings come sorted by
+    their labels over the region, IN before OUT before UNDEC.
+    """
     # attackers outside the region are grounded-out and decide nothing here
     attackers = {a: set() for a in region}
     targets = {a: set() for a in region}
@@ -139,7 +159,7 @@ def _region(af: ArgumentationFramework) -> list[str]:
 def test_boundary_subframeworks_match_the_oracle(kb1, kb2):
     regions = []
     for vec in _boundary_vectors(BOUNDARY_EDITORS, (kb1, kb2)):
-        valuation = expert.valuation(kb2, vec)
+        valuation = crisp_valuation(kb2, vec)
         for strength in (False, True):
             make = lambda: arg.elicit_subaf(kb2.framework, valuation, strength)
             _assert_as_oracle(make)
@@ -160,6 +180,31 @@ def test_toy_frameworks_match_the_oracle():
         _assert_as_oracle(make)
         regions.append(len(_region(make())))
     assert 0 in regions and max(regions) > 1
+
+
+def test_bitmask_region_search_matches_the_oracle():
+    # seeded toy frameworks whose grounded labelling leaves up to 12
+    # arguments undecided, the search compared on its own
+    rng = random.Random(20063)
+    regions = []
+    for _ in range(TOY_REGIONS):
+        n = rng.randint(2, 12)
+        p = rng.choice((0.15, 0.25, 0.35, 0.5))
+        names = [f"a{i:02d}" for i in range(n)]
+        rng.shuffle(names)
+        # a cycle through every argument leaves them all undecided unless
+        # some unattacked argument decides them
+        attacks = [(a, b) for a in names for b in names if rng.random() < p]
+        attacks += [(a, b) for a, b in zip(names, names[1:] + names[:1]) if rng.random() < 0.8]
+        af = toy_af({a: 1 for a in names}, attacks)
+        base = arg.grounded(af).labels
+        region = sorted(a for a, l in base.items() if l == UNDEC)
+        if not region:
+            continue
+        got, want = arg._region_labellings(af, base, region), _region_labellings(af, base, region)
+        assert got == want and _items(got) == _items(want), attacks
+        regions.append(len(region))
+    assert max(regions) == 12 and len(set(regions)) > 5
 
 
 @pytest.mark.parametrize("attacks", [
