@@ -338,6 +338,15 @@ def argument_value(valuation: expert.Valuation, arg: Argument) -> float:
     return valuation.activated[arg.rule].value
 
 
+def _forecast_pairs(subaf: ArgumentationFramework, values: dict[str, float],
+                    accepted) -> list[tuple[float, float]]:
+    """``(value, strength)`` of each forecast argument in ``accepted``, in
+    sorted order: what an accrual averages."""
+    arguments = subaf.arguments
+    return [(values[a], arguments[a].strength) for a in sorted(accepted)
+            if arguments[a].kind == "forecast"]
+
+
 def accrue_extensions(subaf: ArgumentationFramework, labellings: list[Labelling],
                       values: dict[str, float], weighted: bool) -> float | None:
     """Cardinality accrual: keep the largest extensions (all accepted
@@ -351,11 +360,7 @@ def accrue_extensions(subaf: ArgumentationFramework, labellings: list[Labelling]
     for l, size in zip(labellings, sizes):
         if size != top:
             continue
-        pairs = [
-            (values[a], subaf.arguments[a].strength)
-            for a in sorted(l.in_set())
-            if subaf.arguments[a].kind == "forecast"
-        ]
+        pairs = _forecast_pairs(subaf, values, l.in_set())
         if pairs:
             groups.append(pairs)
     if not groups:
@@ -372,12 +377,8 @@ def accrue_categoriser(subaf: ArgumentationFramework, scores: dict[str, float],
     if not forecast:
         return None
     best = max(scores[a] for a in forecast)
-    pairs = [
-        (values[a], subaf.arguments[a].strength)
-        for a in sorted(forecast)
-        if scores[a] >= best - CAT_TIE_EPS
-    ]
-    return expert.means([pairs], weighted)[0]
+    top = [a for a in forecast if scores[a] >= best - CAT_TIE_EPS]
+    return expert.means([_forecast_pairs(subaf, values, top)], weighted)[0]
 
 
 def elicit(kb: KnowledgeBase, valuation: expert.Valuation,
@@ -409,7 +410,9 @@ def labellings(subaf: ArgumentationFramework, semantics: str) -> list[Labelling]
 
 def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
                      semantics: str, use_strength: bool) -> float | None:
-    """Trust: acceptance under ``semantics`` and accrual of the accepted values.
+    """Trust: acceptance under ``semantics`` and accrual of the accepted
+    values, where ``values`` holds every forecast argument's, as ``elicit``
+    returns them.
 
     The categoriser accrual reads only the top tie set of forecast scores,
     so when some forecast argument is unattacked, no round runs.  An
@@ -425,9 +428,7 @@ def label_and_accrue(subaf: ArgumentationFramework, values: dict[str, float],
     if accepted is not None:
         return accrue_extensions(subaf, accepted, values, weighted=use_strength)
     attacked = {t for _s, t in subaf.attacks}
-    top = sorted(a for a, arg in subaf.arguments.items()
-                 if arg.kind == "forecast" and a not in attacked)
-    if top:
-        return expert.means([[(values[a], subaf.arguments[a].strength) for a in top]],
-                            use_strength)[0]
+    pairs = _forecast_pairs(subaf, values, values.keys() - attacked)
+    if pairs:
+        return expert.means([pairs], use_strength)[0]
     return accrue_categoriser(subaf, categoriser(subaf), values, weighted=use_strength)

@@ -81,7 +81,7 @@ def cmd_extract(args) -> int:
     try:
         with _open_dump(dump) as fh:
             revisions = stream_revisions(fh)
-            editors = accumulate(revisions, dump_instant, args.window_days)
+            editors = accumulate(revisions, dump_instant)
     except (OSError, EOFError, DumpParseError) as e:
         # a truncated compressed dump raises EOFError
         raise UserError(str(e)) from None
@@ -171,9 +171,10 @@ def available_cpus() -> int:
 def cmd_run_matrix(args) -> int:
     if args.jobs < 0:
         raise UserError(f"--jobs must be 0 (the usable CPUs) or more, not {args.jobs}")
-    if any(c in args.dataset for c in ",\r\n"):
-        # results.csv is written unquoted, so its row would not read back
-        raise UserError(f"--dataset must not contain a comma or line break: {args.dataset!r}")
+    if any(c in args.dataset for c in "\r\n"):
+        # the results reader numbers records, not lines, so a quoted line
+        # break would misplace the line of every later error
+        raise UserError(f"--dataset must not contain a line break: {args.dataset!r}")
     model_filter = args.models.split(",") if args.models is not None else None
     _as_user_error(evaluation.select_models, model_filter, errors=KeyError)
     features = _as_user_error(read_features_csv, args.features)

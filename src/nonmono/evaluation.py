@@ -8,7 +8,6 @@ it fails to produce a value at all.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import multiprocessing
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import argumentation, expert, fuzzy
-from .ingest import FEATURE_NAMES, EditorFeatures, read_rows
+from .ingest import FEATURE_NAMES, EditorFeatures, read_rows, write_rows
 from .kb.model import KnowledgeBase
 
 log = logging.getLogger(__name__)
@@ -533,15 +532,10 @@ def _fmt_metric(v: float | None) -> str:
 
 def write_results_csv(results: Sequence[tuple[ModelConfig, MetricTriple]],
                       dataset: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for config, triple in results:
-            fh.write(",".join([
-                config.id, dataset,
-                _fmt_metric(triple.rank_of_barnstars),
-                _fmt_metric(triple.spread),
-                _fmt_metric(triple.na_pct),
-            ]) + "\n")
+    write_rows(path, RESULT_COLUMNS, (
+        [config.id, dataset, _fmt_metric(triple.rank_of_barnstars),
+         _fmt_metric(triple.spread), _fmt_metric(triple.na_pct)]
+        for config, triple in results))
 
 
 def _optional_value(name: str, text: str, low: float, high: float) -> float | None:
@@ -566,32 +560,17 @@ def _result_row(row: list[str]) -> tuple[str, str, float | None, float | None, f
 def read_results_csv(path: str) -> list[tuple[str, str, float | None, float | None, float | None]]:
     """Rows of a results file.  Metrics are empty or finite: rank and
     na_pct in [0, 100], spread non-negative; a model appears once."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if tuple(header.split(",")) != RESULT_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(RESULT_COLUMNS)}")
-        lines = map(str.strip, fh)
-        rows = read_rows(path, (line.split(",") if line else [] for line in lines),
-                         _result_row, RESULT_COLUMNS, "model id")
-    return list(rows.values())
+    return list(read_rows(path, RESULT_COLUMNS, _result_row, "model id").values())
 
 
 def write_trust_csv(trust: Mapping[str, float | None], model_id: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRUST_COLUMNS)
-        for editor in sorted(trust):
-            value = trust[editor]
-            writer.writerow([editor, model_id, "" if value is None else format(value, ".10g")])
+    write_rows(path, TRUST_COLUMNS, (
+        [editor, model_id, "" if trust[editor] is None else format(trust[editor], ".10g")]
+        for editor in sorted(trust)))
 
 
 def read_trust_csv(path: str) -> dict[str, float | None]:
     """Trust by editor.  A value is empty or a finite number in [0, 1]; an
     editor appears once."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRUST_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(TRUST_COLUMNS)}")
-        return read_rows(path, reader, lambda row: _optional_value("trust", row[2], 0.0, 1.0),
-                         TRUST_COLUMNS, "editor id")
+    return read_rows(path, TRUST_COLUMNS,
+                     lambda row: _optional_value("trust", row[2], 0.0, 1.0), "editor id")

@@ -64,14 +64,12 @@ OPERATORS = {
 
 @dataclass(frozen=True)
 class AggregatedFuzzySet:
-    """Trust-level truth values, the clipped levels of nonzero truth, and
-    the pieces of their pointwise max over ``xs`` in grid order: a piece
-    ``(p, q, level, values)`` covers grid points ``p`` to ``q - 1`` with
-    ``level``'s clipped curve, or with ``values`` where ``level`` is None.
-    No pieces means the max is 0 everywhere."""
+    """The clipped levels of nonzero truth and the pieces of their pointwise
+    max over the grid, in grid order: a piece ``(p, q, level, values)``
+    covers grid points ``p`` to ``q - 1`` with ``level``'s clipped curve, or
+    with ``values`` where ``level`` is None.  No pieces means the max is 0
+    everywhere."""
 
-    level_truths: dict[str, float]
-    xs: tuple[float, ...]
     levels: list[ClippedLevel]
     pieces: list[Piece]
 
@@ -375,8 +373,7 @@ def aggregate_levels(level_truths: LevelTruths) -> AggregatedFuzzySet:
     levels, truths = level_truths
     kept = [_clipped_level(curve, truth)
             for curve, truth in zip(levels.curves, truths) if truth > 0.0]
-    return AggregatedFuzzySet(dict(zip(levels.names, truths)), _GRID, kept,
-                              _envelope(kept) if kept else [])
+    return AggregatedFuzzySet(kept, _envelope(kept) if kept else [])
 
 
 def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
@@ -399,7 +396,7 @@ def defuzzify(agg: AggregatedFuzzySet, method: str) -> float | None:
     peak = max([min(t, curve[top]) for curve, top, t, *_ in agg.levels], default=0.0)
     if peak <= 0.0:
         return None
-    xs = agg.xs
+    xs = _GRID
     if method == "centroid":
         moments, masses = [], []
         for p, q, level, values in agg.pieces:

@@ -3,7 +3,9 @@
 ``stream_revisions`` walks a stub-meta-history XML dump with an expat push
 parser in bounded memory.  ``accumulate`` folds the revision stream into
 per-editor statistics and ``finalize`` turns those into the nine-feature
-vector the inference engines consume.
+vector the inference engines consume, counting activity windows of its
+``window_days``.  ``write_rows`` and ``read_rows`` are the CSV codec of the
+features, trust and results files.
 """
 from __future__ import annotations
 
@@ -218,10 +220,9 @@ class EditorAccumulator:
     first_edit: float = 0.0  # epoch seconds
     last_edit: float = 0.0
     net_bytes: int = 0
-    active_windows: frozenset[int] = frozenset()
     # per active day, the earliest and latest edit instant; a day overlaps at
-    # most two windows, so these recover the exact window set once first_edit
-    # is final, in memory bounded by the calendar span
+    # most two windows, so ``finalize`` recovers the exact window set from
+    # these once first_edit is final, in memory bounded by the calendar span
     _day_spans: dict[int, list[float]] = field(default_factory=dict)
 
     def add(self, ts: float, minor: bool, comment: bool, page_id: str, delta: int):
@@ -243,13 +244,6 @@ class EditorAccumulator:
             span[0] = ts
         elif ts > span[1]:
             span[1] = ts
-
-    def seal(self, window_seconds: float):
-        windows = set()
-        for lo, hi in self._day_spans.values():
-            windows.add(int((lo - self.first_edit) // window_seconds))
-            windows.add(int((hi - self.first_edit) // window_seconds))
-        self.active_windows = frozenset(windows)
 
 
 @dataclass(frozen=True)
@@ -283,7 +277,6 @@ FEATURE_NAMES = frozenset(FEATURE_COLUMNS[1:])
 def accumulate(
     records: Iterable[RevisionRecord],
     dump_instant: datetime,
-    window_days: int = 30,
 ) -> dict[str, EditorAccumulator]:
     """Fold a revision stream (document order: revisions grouped by page,
     chronological within a page) into per-editor statistics.
@@ -291,7 +284,8 @@ def accumulate(
     A revision's byte contribution is the size delta against the previous
     revision of the same page; a page's first revision contributes its full
     size.  Revisions after the dump instant are counted in, with one WARNING
-    giving their count and the first one's id.
+    giving their count and the first one's id.  The statistics do not depend
+    on the activity window, which ``finalize`` applies.
     """
     dump_ts = dump_instant.timestamp()
     editors: dict[str, EditorAccumulator] = {}
@@ -316,9 +310,6 @@ def accumulate(
     if late:
         log.warning("%d revision(s) after the dump instant %s, the first %s",
                     late, dump_instant.isoformat(), first_late)
-    window_seconds = window_days * _DAY
-    for acc in editors.values():
-        acc.seal(window_seconds)
     return editors
 
 
@@ -331,8 +322,9 @@ def finalize(
     """Feature vector of one editor.
 
     Presence compares the editor's first observed edit (registration proxy)
-    to the wiki's lifetime; frequency and regularity are per 30-day window of
-    the editor's own first-to-last lifecycle, capped at 1.
+    to the wiki's lifetime; frequency and regularity are per ``window_days``
+    window of the editor's own first-to-last lifecycle, capped at 1:
+    regularity counts the windows holding an edit.
     """
     dump_ts = dump_instant.timestamp()
     start_ts = wiki_start_instant.timestamp()
@@ -341,6 +333,8 @@ def finalize(
     activity = acc.edit_count
     window_seconds = window_days * _DAY
     lifecycle_windows = int((acc.last_edit - acc.first_edit) // window_seconds) + 1
+    active_windows = {int((ts - acc.first_edit) // window_seconds)
+                      for span in acc._day_spans.values() for ts in span}
     presence = (dump_ts - acc.first_edit) / (dump_ts - start_ts)
     return EditorFeatures(
         editor_id=acc.editor_id,
@@ -351,7 +345,7 @@ def finalize(
         comments=acc.comment_count / activity,
         presence=min(max(presence, 0.0), 1.0),
         frequency=min(1.0, activity / lifecycle_windows),
-        regularity=min(1.0, len(acc.active_windows) / lifecycle_windows),
+        regularity=min(1.0, len(active_windows) / lifecycle_windows),
         bytes=acc.net_bytes,
     )
 
@@ -363,7 +357,7 @@ def extract_features(
     window_days: int = 30,
 ) -> list[EditorFeatures]:
     """Dump stream to feature vectors, sorted by editor id."""
-    editors = accumulate(stream_revisions(stream), dump_instant, window_days)
+    editors = accumulate(stream_revisions(stream), dump_instant)
     return [
         finalize(editors[e], dump_instant, wiki_start_instant, window_days)
         for e in sorted(editors)
@@ -374,43 +368,51 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def write_features_csv(features: Iterable[EditorFeatures], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_rows(path: str, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: the ``columns`` header, then ``rows``, each line
+    ended by a line feed and a field quoted only where it holds a comma, a
+    quote or a line break."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FEATURE_COLUMNS)
-        for f in features:
-            writer.writerow([_fmt(getattr(f, c)) if c in _RATIO_COLUMNS else getattr(f, c)
-                             for c in FEATURE_COLUMNS])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_rows(path: str, columns: tuple[str, ...], parse, key: str) -> dict:
+    """``parse`` of each non-empty row of a CSV table, by its first field.
+    A header other than ``columns`` (each field stripped), a row with the
+    wrong column count, a value ``parse`` rejects or a repeated first
+    field, checked in that order, raises ``ValueError`` naming the file and,
+    for a row, its line: rows are numbered from 2, one per record."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None or tuple(h.strip() for h in header) != columns:
+            raise ValueError(f"{path}: expected header {','.join(columns)}")
+        out = {}
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(f"{len(row)} columns, expected {len(columns)}")
+                value = parse(row)
+                if row[0] in out:
+                    raise ValueError(f"duplicate {key} {row[0]!r}")
+                out[row[0]] = value
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
+    return out
+
+
+def write_features_csv(features: Iterable[EditorFeatures], path: str) -> None:
+    write_rows(path, FEATURE_COLUMNS, (
+        [_fmt(getattr(f, c)) if c in _RATIO_COLUMNS else getattr(f, c) for c in FEATURE_COLUMNS]
+        for f in features))
 
 
 def read_features_csv(path: str) -> list[EditorFeatures]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != FEATURE_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(FEATURE_COLUMNS)}")
-        return list(read_rows(path, reader, _feature_row, FEATURE_COLUMNS, "editor_id").values())
-
-
-def read_rows(path: str, rows, parse, columns: tuple[str, ...], key: str) -> dict:
-    """``parse`` of each non-empty row after the header, by its first field.
-    A row with the wrong column count, a value ``parse`` rejects or a
-    repeated first field, checked in that order, raises ``ValueError``
-    naming the file and line."""
-    out = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != len(columns):
-                raise ValueError(f"{len(row)} columns, expected {len(columns)}")
-            value = parse(row)
-            if row[0] in out:
-                raise ValueError(f"duplicate {key} {row[0]!r}")
-            out[row[0]] = value
-        except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
+    return list(read_rows(path, FEATURE_COLUMNS, _feature_row, "editor_id").values())
 
 
 def _feature_row(row: list[str]) -> EditorFeatures:

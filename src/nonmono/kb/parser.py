@@ -191,7 +191,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                 if weight != int(weight):
                     raise _SyntaxError(idx, f"weight must be an integer, got {weight}")
                 lp.expect("domain")
-                lo, hi = _range(lp)
+                lo, hi, _ = _range(lp)
                 lp.expect("{")
                 in_feature = {"name": name, "weight": int(weight), "domain": (lo, hi), "terms": [], "line": idx}
             elif head == "trustlevel":
@@ -199,7 +199,7 @@ def parse_kb(source: str, kb_id: str | None = None) -> ParseResult:
                 if label in trust_levels:
                     err(idx, f"duplicate trust level {label!r}")
                 lp.expect("=")
-                lo, hi = _range(lp)
+                lo, hi, _ = _range(lp)
                 fmfs = _parse_fmfs(lp) if not lp.done() else {}
                 trust_levels[label] = TrustLevel(label, lo, hi, fmfs)
                 declared_at["trustlevel", label] = idx
@@ -323,15 +323,22 @@ def _sorted(diags: list[ParseDiagnostic]) -> list[ParseDiagnostic]:
     return sorted(diags, key=lambda d: (d.line, d.message))
 
 
-def _range(lp: _LineParser) -> tuple[float, float]:
+def _range(lp: _LineParser, saturation: float | None = None) -> tuple[float, float, bool]:
+    """``[lo, hi]`` and whether ``hi`` was ``inf``, which only a caller
+    passing the ``saturation`` bound that replaces it accepts."""
     lp.expect("[")
     lo = lp.number()
     lp.expect(",")
-    hi = lp.number()
+    saturated = saturation is not None and lp.peek() == "inf"
+    if saturated:
+        lp.next()
+        hi = saturation
+    else:
+        hi = lp.number()
     lp.expect("]")
     if lo > hi:
         raise _SyntaxError(lp.line, f"malformed range [{lo}, {hi}]")
-    return lo, hi
+    return lo, hi, saturated
 
 
 def _parse_fmfs(lp: _LineParser) -> dict[str, Fmf]:
@@ -362,18 +369,7 @@ def _parse_term_line(lp: _LineParser, feature_ctx: dict) -> None:
     if any(t.label == label for t in feature_ctx["terms"]):
         raise _SyntaxError(lp.line, f"duplicate term {label!r}")
     lp.expect("=")
-    lp.expect("[")
-    lo = lp.number()
-    lp.expect(",")
-    saturated = lp.peek() == "inf"
-    if saturated:
-        lp.next()
-        hi = feature_ctx["domain"][1]
-    else:
-        hi = lp.number()
-    lp.expect("]")
-    if lo > hi:
-        raise _SyntaxError(lp.line, f"malformed range [{lo}, {hi}]")
+    lo, hi, saturated = _range(lp, feature_ctx["domain"][1])
     fmfs = _parse_fmfs(lp)
     feature_ctx["terms"].append(LinguisticTerm(label, lo, hi, fmfs, saturated))
 

@@ -97,7 +97,7 @@ def curve(agg) -> tuple[float, ...]:
     """An aggregate's output curve at every grid point, assembled from its
     pieces: the 1001-point max that defuzzification never builds."""
     if not agg.pieces:
-        return (0.0,) * len(agg.xs)
+        return (0.0,) * len(fuzzy._GRID)
     return tuple(chain.from_iterable(
         values if level is None else fuzzy._slice(level, p, q)
         for p, q, level, values in agg.pieces))

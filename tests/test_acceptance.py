@@ -46,8 +46,8 @@ def test_criterion_1_worked_example_parity(kb1):
     # level, and the attacker a contradiction that caps both rules
     eq_kb = parse_kb(EQ1_KB).kb
     capped = fuzzy.resolve_possibility(eq_kb, {"R": 0.3, "S": 0.4}, {("g", "on"): 0.2}, ops)
-    eq1 = fuzzy.aggregate_levels(
-        fuzzy.level_truths(eq_kb, capped, False, "triangular")).level_truths["high"]
+    truths = fuzzy.level_truths(eq_kb, capped, False, "triangular")
+    eq1 = dict(zip(truths.levels.names, truths.truths))["high"]
     fv = dict(pages=17, activity=1, anonymous=1, not_minor=0.5, comments=0.1,
               presence=0.5, frequency=0.5, regularity=0.5, bytes=0)
     grades = fuzzy.fuzzify(fv, kb1)

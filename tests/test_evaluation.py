@@ -859,6 +859,14 @@ def test_trust_csv_rejects_invalid_row(tmp_path, row, reason):
     assert str(err.value) == f"{path}: line 4: {reason}"
 
 
+def test_results_csv_round_trips_a_dataset_with_a_comma(tmp_path):
+    path = tmp_path / "results.csv"
+    triple = evaluation.MetricTriple(12.5, 0.25, None)
+    evaluation.write_results_csv([(MODEL_REGISTRY["E1"], triple)], "wiki,2021", str(path))
+    assert path.read_text() == 'model_id,dataset,rank,spread,na_pct\nE1,"wiki,2021",12.5000,0.2500,\n'
+    assert evaluation.read_results_csv(str(path)) == [("E1", "wiki,2021", 12.5, 0.25, None)]
+
+
 @pytest.mark.parametrize("row, reason", [
     ("E2,d,1,0.1,0,9", "6 columns, expected 5"),
     ("E2,d,1,0.1", "4 columns, expected 5"),

@@ -120,7 +120,8 @@ def test_accumulate_windows_40_days_apart():
         rec("p", ts(2019, 1, 1), size=5),
         rec("p", ts(2019, 2, 10), size=9),
     ], DUMP)
-    assert accs["x"].active_windows == frozenset({0, 1})
+    # windows 0 and 1 of a two-window lifecycle are both active
+    assert finalize(accs["x"], DUMP, START).regularity == 1.0
 
 
 def test_accumulate_empty():
@@ -135,7 +136,17 @@ def test_accumulate_day_straddles_window_boundary():
         rec("p", datetime(2019, 1, 31, 22, 0, tzinfo=timezone.utc)),   # day 29.96
         rec("p", datetime(2019, 1, 31, 23, 30, tzinfo=timezone.utc)),  # day 30.02
     ], DUMP)
-    assert accs["x"].active_windows == frozenset({0, 1})
+    # windows 0 and 1 of a two-window lifecycle are both active
+    assert finalize(accs["x"], DUMP, START).regularity == 1.0
+
+
+def test_finalize_windows_follow_window_days():
+    # edits on days 0, 1 and 15: one 30-day window, or windows 0 and 2 of
+    # three 7-day ones
+    accs = accumulate([rec("p", ts(2019, 1, d)) for d in (1, 2, 16)], DUMP)
+    assert finalize(accs["x"], DUMP, START).regularity == 1.0
+    week = finalize(accs["x"], DUMP, START, window_days=7)
+    assert week.regularity == 2 / 3 and week.frequency == 1.0
 
 
 def test_accumulate_one_warning_for_revisions_after_dump(caplog):

@@ -145,6 +145,33 @@ def test_number_not_coerced(tmp_path, capsys, old, new, line):
     assert f"error: line {line}:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    pytest.param("low = [0.0, 5.0]", "low = [0.9, 0.1]", 2, "malformed range [0.9, 0.1]",
+                 id="term"),
+    pytest.param("high = [5.0, inf]", "high = [20.0, inf]", 3, "malformed range [20.0, 10.0]",
+                 id="term-saturated"),
+    pytest.param("trustlevel high = [0.5, 1.0]", "trustlevel high = [0.9, 0.1]", 6,
+                 "malformed range [0.9, 0.1]", id="trustlevel"),
+    pytest.param("domain [0.0, 10.0]", "domain [0.9, 0.1]", 1, "malformed range [0.9, 0.1]",
+                 id="domain"),
+    pytest.param("high = [5.0, inf]", "high = [inf, 10.0]", 3,
+                 "expected a finite number, got 'inf'", id="term-lower-inf"),
+    pytest.param("trustlevel high = [0.5, 1.0]", "trustlevel high = [0.0, inf]", 6,
+                 "expected a finite number, got 'inf'", id="trustlevel-inf"),
+    pytest.param("domain [0.0, 10.0]", "domain [0.0, inf]", 1,
+                 "expected a finite number, got 'inf'", id="domain-inf"),
+])
+def test_range_error_names_its_line(old, new, line, message):
+    result = parse_kb(NUMBERS.replace(old, new, 1))
+    assert result.kb is None
+    assert (line, message) in [(d.line, d.message) for d in result.errors]
+
+
+def test_inf_saturates_a_term_upper_bound():
+    high = parse_kb(NUMBERS).kb.features["pages"].terms[1]
+    assert (high.label, high.lower, high.upper, high.saturated) == ("high", 5.0, 10.0, True)
+
+
 GOOD_RULES = (
     "rule NM1: IF not_minor is very_low THEN trust is low\n"
     "rule B1: IF comments is low THEN trust is high\n"
